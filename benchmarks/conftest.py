@@ -58,11 +58,17 @@ def rate_stats(fn, rounds: int = None, warmup: bool = True) -> dict:
     slow outlier, which is the dominant noise shape observed (runs
     are only ever *slowed down* by interference, never sped up).
 
-    Returns ``{"min", "median", "max", "rounds", "store"}`` so the
-    BENCH JSONs record the whole spread — when the regression gate
-    trips, the baseline's min/max show whether the median moved
-    outside the machine's observed noise band or the run was just
-    unlucky.  ``store`` is the run-store counter delta across the
+    Returns ``{"min", "median", "max", "first", "last", "rounds",
+    "store"}`` so the BENCH JSONs record the whole spread — when the
+    regression gate trips, the baseline's min/max show whether the
+    median moved outside the machine's observed noise band or the run
+    was just unlucky.  ``first`` and ``last`` are the first and last
+    measured rounds in call order: a long-lived process must run as
+    fast as a fresh one, and a last round well below the first means
+    the rate depends on how many runs came before it (in-process
+    drift, such as cyclic-GC cost growing with the heap) rather than
+    on the code being measured.  ``store`` is the run-store counter
+    delta across the
     measured rounds (hits/misses/stored, from
     :data:`repro.store.STATS`): an all-zero delta *proves* the
     numbers were produced cache-cold, with no memoized simulation
@@ -77,11 +83,13 @@ def rate_stats(fn, rounds: int = None, warmup: bool = True) -> dict:
     if warmup:
         fn()
     before = STATS.snapshot()
-    rates = sorted(fn() for _ in range(rounds))
+    rates = [fn() for _ in range(rounds)]
     return {
-        "min": rates[0],
+        "min": min(rates),
         "median": statistics.median(rates),
-        "max": rates[-1],
+        "max": max(rates),
+        "first": rates[0],
+        "last": rates[-1],
         "rounds": rounds,
         "store": STATS.delta(before),
     }

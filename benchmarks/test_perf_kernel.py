@@ -22,6 +22,11 @@ from .conftest import BENCH_ROUNDS, rate_stats, run_once, write_bench
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
+#: Floor on the last measured round's rate relative to the first: runs
+#: later in a long-lived process must not slow down (host noise is
+#: about 10% per round).
+MIN_LAST_OVER_FIRST = 0.8
+
 #: The reference point: flux backend, 4 partitions, 64 nodes, 4 waves
 #: of null tasks = 64 * 56 * 4 = 14,336 tasks.
 CFG = ExperimentConfig(exp_id="perf_kernel", launcher="flux",
@@ -46,5 +51,10 @@ def test_kernel_tasks_per_wall_second(benchmark, emit):
                  "rounds": BENCH_ROUNDS})
     emit(f"kernel throughput: {rate:,.0f} simulated tasks / wall second "
          f"(median of {BENCH_ROUNDS} after warmup, round spread "
-         f"{stats['min']:,.0f}-{stats['max']:,.0f})\n"
+         f"{stats['min']:,.0f}-{stats['max']:,.0f}, first "
+         f"{stats['first']:,.0f}, last {stats['last']:,.0f})\n"
          f"wrote {BENCH_FILE}")
+    assert stats["last"] >= MIN_LAST_OVER_FIRST * stats["first"], (
+        f"in-process drift: the last round ran at {stats['last']:,.0f} "
+        f"tasks/s, under {MIN_LAST_OVER_FIRST:.0%} of the first round's "
+        f"{stats['first']:,.0f}")

@@ -266,6 +266,14 @@ class Agent:
                 task.cancel()
         self._inflight.clear()
 
+    def unwire(self) -> None:
+        """Disconnect the executors (which point back at this agent)
+        and the routing table that holds them."""
+        for ex in self.executors.values():
+            ex.unwire()
+        self.executors = {}
+        self._router = None
+
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch_mean(self) -> float:

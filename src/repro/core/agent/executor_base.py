@@ -69,6 +69,10 @@ class ExecutorBase:
         """Stop the backend; queued work is failed back to the agent."""
         raise NotImplementedError
 
+    def unwire(self) -> None:
+        """Drop the backend's references back into this executor
+        (session teardown).  The default has none to drop."""
+
     # -- execution -----------------------------------------------------------
 
     def submit(self, task: "Task") -> None:

@@ -84,6 +84,10 @@ class DragonExecutor(ExecutorBase):
         for rt in self.runtimes:
             rt.shutdown()
 
+    def unwire(self) -> None:
+        for rt in self.runtimes:
+            rt.on_task_start = None
+
     def submit(self, task: "Task") -> None:
         td = task.description
         runtime = self._pick_runtime()

@@ -81,6 +81,9 @@ class FluxExecutor(ExecutorBase):
         self.ready = False
         self.hierarchy.shutdown_all()
 
+    def unwire(self) -> None:
+        self.hierarchy.unwire()
+
     def submit(self, task: "Task") -> None:
         td = task.description
         entry = self._spec_cache.get(id(td))

@@ -74,6 +74,14 @@ class Pilot:
                 self._final_event.succeed(self.state)
         return self._final_event
 
+    def unwire(self) -> None:
+        """Drop the agent and the lifecycle events (whose callbacks,
+        such as the pilot manager's node release, point back here)."""
+        if self.agent is not None:
+            self.agent.unwire()
+            self.agent = None
+        self._active_event = self._final_event = None
+
     def start_service(self, description):
         """Launch a persistent service on this pilot (must be ACTIVE).
 

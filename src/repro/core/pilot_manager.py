@@ -87,6 +87,11 @@ class PilotManager:
             assert ev.callbacks is not None
             ev.callbacks.append(_release)
 
+    def unwire(self) -> None:
+        """Break the back-references of every pilot (session teardown)."""
+        for pilot in self.pilots:
+            pilot.unwire()
+
     def cancel_pilots(self) -> None:
         """Shut down all pilots managed by this manager."""
         for pilot in self.pilots:

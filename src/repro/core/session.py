@@ -109,12 +109,16 @@ class Session:
                                           resilience=resilience)
                 self.shards = n_shards
         self._closed = False
+        #: Pilot managers created from this session (for :meth:`unwire`).
+        self._pilot_managers: list = []
 
     def pilot_manager(self):
         """Create a :class:`~repro.core.pilot_manager.PilotManager`."""
         from .pilot_manager import PilotManager
 
-        return PilotManager(self)
+        pmgr = PilotManager(self)
+        self._pilot_managers.append(pmgr)
+        return pmgr
 
     def task_manager(self):
         """Create a :class:`~repro.core.task_manager.TaskManager`."""
@@ -144,6 +148,23 @@ class Session:
             if self.engine is not None:
                 self.engine.close()
             self.cluster.release_all()
+
+    def unwire(self) -> None:
+        """Close the session and break the reference cycles its run
+        built, so that reference counting frees it once dropped.
+
+        For a caller that keeps only the run's tasks and profiler (the
+        harness with ``keep_session=False``): the pilots, agents,
+        backends, kernel queue and node watchers are disconnected, so
+        the session can neither run nor be inspected afterwards.
+        """
+        self.close()
+        for pmgr in self._pilot_managers:
+            pmgr.unwire()
+        self._pilot_managers.clear()
+        self.env.close()
+        self.cluster.unwire()
+        self.telemetry = None
 
     def __enter__(self) -> "Session":
         return self

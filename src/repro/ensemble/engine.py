@@ -23,8 +23,9 @@ the correctness contract:
     recurrences do not cover (multi-partition hierarchies, staged or
     faulty workloads, degenerate zero-cv latencies).  Replay sweeps of
     :data:`_AUTO_REPLAY_MIN_SEEDS` or more seeds are sharded over the
-    process pool automatically unless the caller pinned ``parallel``,
-    so no launcher is left at 1x per-seed cost.
+    process pool automatically, one worker per usable core, unless the
+    caller pinned ``parallel``, so no launcher is left at 1x per-seed
+    cost where a second core exists.
 
 Either way the results are *identical* to N independent sequential
 runs — same metric floats, byte-identical exported profiles.  The
@@ -400,7 +401,7 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         export of an independent ``run_experiment`` at that seed.
     parallel:
         Fan batches of seeds out over worker processes
-        (``"auto"``/``0`` = one per core; an int = that many), via the
+        (``"auto"``/``0`` = one per usable core; an int = that many), via the
         same pool semantics as :mod:`repro.experiments.parallel`.
         When unset, replay sweeps of ``>= 4`` seeds without
         ``keep_profiles`` auto-shard (``"auto"``) — pass
@@ -445,6 +446,10 @@ def run_ensemble(cfg, seeds: Optional[SeedsLike] = None,
         # Cohort-sharded parallel replay: configs the recurrences
         # cannot cover still amortize — contiguous seed batches on the
         # process pool, reusing the salvage/resubmit machinery below.
+        # "auto" sizes the pool by usable cores, so a single usable
+        # core replays serially in-process; BENCH_ensemble.json
+        # ``replay_parallel`` records the pool's win from two workers
+        # on two usable cores.
         parallel = "auto"
     if bundle is not None and profile_dir is None:
         profile_dir = str(bundle)

@@ -424,7 +424,7 @@ def main(argv: List[str] = None) -> int:
     p_run.add_argument("--parallel", nargs="?", const="auto", default=None,
                        metavar="N",
                        help="fan repetitions out over N worker processes "
-                            "(bare flag = one per core)")
+                            "(bare flag = one per usable core)")
     p_run.add_argument("--faults", default="", metavar="SPEC",
                        help="fault injection spec, key=value pairs "
                             "(e.g. mtbf=1800,p_launch_fail=0.01,"
@@ -528,7 +528,7 @@ def main(argv: List[str] = None) -> int:
     p_t1.add_argument("--parallel", nargs="?", const="auto", default=None,
                       metavar="N",
                       help="run the sweep's configurations over N worker "
-                           "processes (bare flag = one per core)")
+                           "processes (bare flag = one per usable core)")
 
     p_fig = sub.add_parser(
         "figures", help="regenerate paper figures as CSV data files")

@@ -88,10 +88,12 @@ class ExperimentConfig:
         """Canonical content key of this config's *behavior*.
 
         sha256 of the normalized config document: stable field order,
-        defaults filled, label fields (``exp_id``, ``tags``) and
-        trace-neutral execution knobs (``seed``, ``bulk``, ``lean``,
-        ``shards``) excluded — two configs with equal keys denote the
-        same simulated run modulo seed.  See
+        defaults filled, label fields (``exp_id``, ``tags``),
+        trace-neutral execution knobs (``bulk``, ``lean``) and the
+        ``seed`` and ``shards`` fields excluded — two configs with
+        equal keys denote the same simulated run modulo seed and
+        modulo sharding, which changes the trace and is therefore a
+        separate component of the run digest.  See
         :mod:`repro.store.keys` for the full identity scheme.
         """
         from ..store.keys import cache_key

@@ -32,6 +32,7 @@ from ..exceptions import ConfigurationError
 from ..faults import FaultReport
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
 from ..platform.profiles import FRONTIER_CORES_PER_NODE, frontier
+from ..sim.collector import gc_paused
 from ..workloads.impeccable import CampaignRunner
 from ..workloads.synthetic import (
     dummy_workload,
@@ -246,6 +247,12 @@ def run_experiment(cfg: ExperimentConfig,
     marks a caller-supplied ``descriptions`` list as the canonical
     :func:`build_workload` output (sweep callers hoist construction),
     keeping its digest identical to a derive-it-yourself run.
+
+    The cyclic garbage collector stays off from session build through
+    teardown (:class:`~repro.sim.collector.gc_paused`).  Without
+    ``keep_session`` the session is unwired before returning, so the
+    run — tasks and profiler included — is freed by reference
+    counting once the caller drops the result.
     """
     wall0 = time.perf_counter()
     store = run_key = None
@@ -262,123 +269,128 @@ def run_experiment(cfg: ExperimentConfig,
             if cached is not None:
                 cached.wall_seconds = time.perf_counter() - wall0
                 return cached
-    observe = observe or bundle is not None or progress is not None
-    checkpointer = None
-    if resilience is not None and resilience.checkpointing:
-        from ..resilience.checkpoint import RunCheckpointer
+    with gc_paused():
+        observe = observe or bundle is not None or progress is not None
+        checkpointer = None
+        if resilience is not None and resilience.checkpointing:
+            from ..resilience.checkpoint import RunCheckpointer
 
-        checkpointer = RunCheckpointer(resilience.checkpoint_dir, cfg,
-                                       resilience, verify=_resume_verify)
-    session = Session(cluster=frontier(max(cfg.n_nodes, 1)),
-                      latencies=latencies, seed=cfg.seed, observe=observe,
-                      faults=cfg.faults, lean=cfg.lean, spill_dir=spill_dir,
-                      shards=cfg.shards, shard_inline=shard_inline,
-                      resilience=resilience)
-    if checkpointer is not None:
-        checkpointer.attach(session)
-    # A bundle run records telemetry even without a live sink, so
-    # ``trace watch`` always has something to replay from the bundle.
-    telemetry = (_attach_telemetry(session, cfg, latencies, progress)
-                 if progress is not None or bundle is not None else None)
-    host = telemetry.sampler.host if telemetry is not None else None
-    span = session.obs.tracer.begin(
-        "experiment", cat="experiment",
-        launcher=cfg.launcher, workload=cfg.workload, seed=cfg.seed)
-    if host is not None:
-        host.start("setup")
-    pmgr = session.pilot_manager()
-    tmgr = session.task_manager()
-    pilot = pmgr.submit_pilots(build_pilot_description(cfg))
-    tmgr.add_pilot(pilot)
-    if telemetry is not None:
-        telemetry.sampler.pilot = pilot
-    if host is not None:
-        host.stop("setup")
+            checkpointer = RunCheckpointer(resilience.checkpoint_dir, cfg,
+                                           resilience, verify=_resume_verify)
+        session = Session(cluster=frontier(max(cfg.n_nodes, 1)),
+                          latencies=latencies, seed=cfg.seed,
+                          observe=observe, faults=cfg.faults, lean=cfg.lean,
+                          spill_dir=spill_dir, shards=cfg.shards,
+                          shard_inline=shard_inline, resilience=resilience)
+        if checkpointer is not None:
+            checkpointer.attach(session)
+        # A bundle run records telemetry even without a live sink, so
+        # ``trace watch`` always has something to replay from the bundle.
+        telemetry = (_attach_telemetry(session, cfg, latencies, progress)
+                     if progress is not None or bundle is not None else None)
+        host = telemetry.sampler.host if telemetry is not None else None
+        span = session.obs.tracer.begin(
+            "experiment", cat="experiment",
+            launcher=cfg.launcher, workload=cfg.workload, seed=cfg.seed)
+        if host is not None:
+            host.start("setup")
+        pmgr = session.pilot_manager()
+        tmgr = session.task_manager()
+        pilot = pmgr.submit_pilots(build_pilot_description(cfg))
+        tmgr.add_pilot(pilot)
+        if telemetry is not None:
+            telemetry.sampler.pilot = pilot
+        if host is not None:
+            host.stop("setup")
 
-    if cfg.workload == WORKLOAD_IMPECCABLE:
-        # Campaign tasks are generated adaptively mid-run, so the
-        # telemetry total stays unknown (ETA falls back to the prior).
-        runner = CampaignRunner(session, tmgr, pilot, cfg.n_nodes,
-                                generations=cfg.generations,
-                                adaptive=cfg.adaptive)
-        if host is not None:
-            host.start("run")
-        session.run(runner.start())
-        if host is not None:
-            host.stop("run")
-        tasks = runner.result.tasks
-    else:
-        if host is not None:
-            host.start("workload")
-        if descriptions is None:
-            descriptions = build_workload(cfg, session.cluster.cores_per_node)
-        tasks = tmgr.submit_tasks(descriptions, bulk=cfg.bulk)
-        if host is not None:
-            host.stop("workload")
+        if cfg.workload == WORKLOAD_IMPECCABLE:
+            # Campaign tasks are generated adaptively mid-run, so the
+            # telemetry total stays unknown (ETA falls back to the prior).
+            runner = CampaignRunner(session, tmgr, pilot, cfg.n_nodes,
+                                    generations=cfg.generations,
+                                    adaptive=cfg.adaptive)
+            if host is not None:
+                host.start("run")
+            session.run(runner.start())
+            if host is not None:
+                host.stop("run")
+            tasks = runner.result.tasks
+        else:
+            if host is not None:
+                host.start("workload")
+            if descriptions is None:
+                descriptions = build_workload(
+                    cfg, session.cluster.cores_per_node)
+            tasks = tmgr.submit_tasks(descriptions, bulk=cfg.bulk)
+            if host is not None:
+                host.stop("workload")
+            if telemetry is not None:
+                telemetry.sampler.tasks_total = len(tasks)
+            if host is not None:
+                host.start("run")
+            session.run(tmgr.wait_tasks())
+            if host is not None:
+                host.stop("run")
+        session.obs.tracer.end(span)
         if telemetry is not None:
             telemetry.sampler.tasks_total = len(tasks)
         if host is not None:
-            host.start("run")
-        session.run(tmgr.wait_tasks())
-        if host is not None:
-            host.stop("run")
-    session.obs.tracer.end(span)
-    if telemetry is not None:
-        telemetry.sampler.tasks_total = len(tasks)
-    if host is not None:
-        host.start("metrics")
+            host.start("metrics")
 
-    total_cores = cfg.n_nodes * session.cluster.cores_per_node
-    total_gpus = cfg.n_nodes * session.cluster.gpus_per_node
-    result = ExperimentResult(
-        config=cfg,
-        n_tasks=len(tasks),
-        n_done=sum(1 for t in tasks if t.succeeded),
-        n_failed=sum(1 for t in tasks if t.state == "FAILED"),
-        throughput=task_throughput(tasks),
-        utilization_cores=utilization(tasks, total_cores),
-        utilization_gpus=(utilization(tasks, total_gpus, resource="gpus")
-                          if total_gpus else 0.0),
-        makespan=makespan(tasks),
-        startup_overheads=startup_overheads(session.profiler),
-        tasks=tasks,
-        session=session if keep_session else None,
-        wall_seconds=time.perf_counter() - wall0,
-        faults=(FaultReport.collect(session.faults, tasks, makespan(tasks))
-                if session.faults is not None else None),
-        n_shards=len(session.engine.hosts) if session.engine is not None
-        else 0,
-        shard_peak_rss_mb=(list(session.engine.shard_peak_rss_mb)
-                           if session.engine is not None else []),
-        host_recovery=(session.engine.recovery.to_doc()
-                       if session.engine is not None
-                       and session.engine.recovery else None),
-    )
-    if store is not None:
-        # Populate on miss (or bypassed read): the profile export is
-        # the same ``save_profile`` bytes a fresh export produces, so
-        # a later hit delivers a byte-identical trace.  Losing a
-        # publication race to a concurrent writer costs nothing — the
-        # winner's entry is byte-identical by the determinism
-        # contract.
-        stored = store.put(run_key, cfg, result,
-                           profiler=session.profiler)
-        result.cache = {"digest": run_key, "hit": False, "stored": stored}
-    if checkpointer is not None:
-        # The final (complete) checkpoint — and, on a resume, the
-        # point where a replay that never crossed the watermark fails
-        # loudly instead of pretending it continued anything.
-        checkpointer.close(complete=True)
-    if host is not None:
-        host.stop("metrics")
-    if telemetry is not None:
-        # The final record: every progress-enabled run emits at least
-        # one snapshot regardless of how briefly it ran.
-        telemetry.flush()
-    if bundle is not None:
-        write_run_bundle(bundle, cfg, session, result)
-    session.close()
-    return result
+        total_cores = cfg.n_nodes * session.cluster.cores_per_node
+        total_gpus = cfg.n_nodes * session.cluster.gpus_per_node
+        result = ExperimentResult(
+            config=cfg,
+            n_tasks=len(tasks),
+            n_done=sum(1 for t in tasks if t.succeeded),
+            n_failed=sum(1 for t in tasks if t.state == "FAILED"),
+            throughput=task_throughput(tasks),
+            utilization_cores=utilization(tasks, total_cores),
+            utilization_gpus=(utilization(tasks, total_gpus, resource="gpus")
+                              if total_gpus else 0.0),
+            makespan=makespan(tasks),
+            startup_overheads=startup_overheads(session.profiler),
+            tasks=tasks,
+            session=session if keep_session else None,
+            wall_seconds=time.perf_counter() - wall0,
+            faults=(FaultReport.collect(session.faults, tasks, makespan(tasks))
+                    if session.faults is not None else None),
+            n_shards=len(session.engine.hosts) if session.engine is not None
+            else 0,
+            shard_peak_rss_mb=(list(session.engine.shard_peak_rss_mb)
+                               if session.engine is not None else []),
+            host_recovery=(session.engine.recovery.to_doc()
+                           if session.engine is not None
+                           and session.engine.recovery else None),
+        )
+        if store is not None:
+            # Populate on miss (or bypassed read): the profile export is
+            # the same ``save_profile`` bytes a fresh export produces, so
+            # a later hit delivers a byte-identical trace.  Losing a
+            # publication race to a concurrent writer costs nothing — the
+            # winner's entry is byte-identical by the determinism
+            # contract.
+            stored = store.put(run_key, cfg, result,
+                               profiler=session.profiler)
+            result.cache = {"digest": run_key, "hit": False, "stored": stored}
+        if checkpointer is not None:
+            # The final (complete) checkpoint — and, on a resume, the
+            # point where a replay that never crossed the watermark fails
+            # loudly instead of pretending it continued anything.
+            checkpointer.close(complete=True)
+        if host is not None:
+            host.stop("metrics")
+        if telemetry is not None:
+            # The final record: every progress-enabled run emits at least
+            # one snapshot regardless of how briefly it ran.
+            telemetry.flush()
+        if bundle is not None:
+            write_run_bundle(bundle, cfg, session, result)
+        if keep_session:
+            session.close()
+        else:
+            session.unwire()
+        return result
 
 
 def write_run_bundle(directory, cfg: ExperimentConfig, session: Session,
@@ -475,7 +487,7 @@ def run_repetitions(cfg: ExperimentConfig, n_reps: int = 3,
     derives ``cfg.seed + rep`` for ``n_reps`` repetitions.
 
     ``parallel`` fans the repetitions out over worker processes
-    (``"auto"``/``0`` = one per core, an int = that many workers; see
+    (``"auto"``/``0`` = one per usable core, an int = that many workers; see
     :mod:`repro.experiments.parallel`).  Each repetition is an
     independent seeded simulation, so the aggregate is identical to
     the serial loop's — but parallel results carry no per-task objects

@@ -36,7 +36,7 @@ from ..exceptions import ConfigurationError, HostFailureError
 from ..platform.latency import FRONTIER_LATENCIES, LatencyModel
 from .configs import ExperimentConfig
 
-__all__ = ["resolve_jobs", "run_many"]
+__all__ = ["resolve_jobs", "run_many", "usable_cores"]
 
 #: Fresh-pool retries after a :class:`BrokenProcessPool` (a pool
 #: worker killed by the OS — OOM, signal, node policy) before giving
@@ -46,17 +46,28 @@ POOL_RETRIES = 2
 POOL_RETRY_BACKOFF = 0.5
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, which a
+    container or ``taskset`` can make smaller than the host's
+    ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Union[int, str, None] = None,
                  n_items: Optional[int] = None) -> int:
     """Turn a ``--parallel`` style argument into a worker count.
 
-    ``None``, ``0`` and ``"auto"`` mean *use every core*; an integer
+    ``None``, ``0`` and ``"auto"`` mean *one per usable core*
+    (:func:`usable_cores`); an integer
     requests exactly that many workers.  The result is clamped to
     ``n_items`` when given (more workers than runs is pure overhead)
     and is always at least 1.
     """
     if jobs is None or jobs == 0 or jobs == "auto":
-        resolved = os.cpu_count() or 1
+        resolved = usable_cores()
     else:
         try:
             resolved = int(jobs)
@@ -65,7 +76,7 @@ def resolve_jobs(jobs: Union[int, str, None] = None,
         if resolved < 0:
             raise ConfigurationError(f"negative parallel job count {jobs}")
         if resolved == 0:
-            resolved = os.cpu_count() or 1
+            resolved = usable_cores()
     if n_items is not None:
         resolved = min(resolved, max(n_items, 1))
     return max(resolved, 1)

@@ -92,6 +92,12 @@ class EventStream:
         self._wanted = (None if (want is None or self._wanted is None)
                         else self._wanted | want)
 
+    def unsubscribe_all(self) -> None:
+        """Drop every subscriber (their sinks are bound methods of the
+        components that own this stream)."""
+        self._subscribers.clear()
+        self._wanted = frozenset()
+
     def publish(self, job_id: str, name: str, **meta: Any) -> JobEvent:
         """Emit an event; it reaches subscribers after ``delivery_delay``."""
         event = JobEvent(job_id, name, self.env._now, meta)

@@ -76,6 +76,11 @@ class FluxHierarchy:
         for inst in self.instances:
             inst.shutdown()
 
+    def unwire(self) -> None:
+        """Drop every instance's event subscribers (session teardown)."""
+        for inst in self.instances:
+            inst.events.unsubscribe_all()
+
     def least_loaded(self, min_cores: int = 0,
                      min_gpus: int = 0) -> FluxInstance:
         """The ready instance with the fewest outstanding jobs.

@@ -309,6 +309,12 @@ class Cluster:
         """Return every node to the free pool (end of experiment)."""
         self._free_indices = set(range(self.n_nodes))
 
+    def unwire(self) -> None:
+        """Detach every allocation from the nodes' watcher lists
+        (session teardown: node and allocation point at each other)."""
+        for node in self.nodes:
+            node._watchers.clear()
+
     def __repr__(self) -> str:
         return (
             f"<Cluster {self.name} nodes={self.n_nodes} "

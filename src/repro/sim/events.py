@@ -218,10 +218,19 @@ class Condition(Event):
             return
         if not event._ok:
             self.fail(event._value)
-            return
-        self._happened += 1
-        if self._happened >= self._need:
+        else:
+            self._happened += 1
+            if self._happened < self._need:
+                return
             self.succeed(self._collect())
+        # Unhook from children still pending (an AnyOf's losing
+        # watchdog Timeout): _check would return at once for them, and
+        # the hook would keep this condition alive in a reference
+        # cycle for as long as the child sits in the queue.
+        check = self._check
+        for ev in self.events:
+            if ev.callbacks and check in ev.callbacks:
+                ev.callbacks.remove(check)
 
     def _collect(self) -> dict:
         return {

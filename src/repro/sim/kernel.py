@@ -73,6 +73,9 @@ class Environment:
         self._queue: List[_QueueItem] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: Processes whose generator has not finished yet, so that
+        #: :meth:`close` can unhook the ones still parked on an event.
+        self._processes: set = set()
         #: Optional kernel instrumentation (see
         #: :class:`repro.observability.metrics.KernelInstrument`).
         #: ``None`` keeps the fast dispatch loops below untouched; the
@@ -156,6 +159,29 @@ class Environment:
         sentinel (see :func:`~repro.sim.events.push_entry5`).
         """
         push_entry5(self, 0.0, URGENT, process, True)
+
+    def close(self) -> None:
+        """Drop the pending queue and unhook every parked process.
+
+        A finished run still holds reference cycles here: the queue
+        holds pending events and process bootstraps that point back at
+        this environment, and a process parked on an event that never
+        fires (a daemon loop blocked on an empty store) and that event
+        point at each other through ``Process._target`` and the
+        event's callback list.  Breaking both lets reference counting
+        free the run.  The environment cannot run afterwards.
+        """
+        self._queue.clear()
+        for proc in self._processes:
+            target, proc._target = proc._target, None
+            # An interrupted process waits on its (now dropped)
+            # interrupt event, no longer on its target.
+            if target is not None and target.callbacks \
+                    and proc._resume in target.callbacks:
+                target.callbacks.remove(proc._resume)
+        self._processes.clear()
+        self._active_process = None
+        self._probe = None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

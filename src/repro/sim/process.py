@@ -43,6 +43,23 @@ class _InitSentinel:
 _INIT = _InitSentinel()
 
 
+def _throw(generator: ProcessGenerator, exc: BaseException) -> Event:
+    """Throw a failed event's exception into ``generator``.
+
+    Once the generator has handled it, the exception's traceback is
+    dropped: its frames hold the processes and events that carry the
+    exception as their value, so keeping it would leave every handled
+    failure (an interrupted srun step) in a reference cycle.
+    """
+    try:
+        next_ev = generator.throw(exc)
+    except StopIteration:
+        exc.__traceback__ = None
+        raise
+    exc.__traceback__ = None
+    return next_ev
+
+
 class Interrupt(Exception):
     """Raised inside a process generator when it is interrupted.
 
@@ -68,6 +85,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
+        env._processes.add(self)
         # Bootstrap: resume the process at the current simulation time
         # (an urgent queue entry; no init Event is allocated).
         env._enqueue_bootstrap(self)
@@ -114,13 +132,15 @@ class Process(Event):
                         # Mark the failure as handled: it propagates into
                         # the generator rather than crashing the kernel.
                         event._defused = True  # type: ignore[attr-defined]
-                        next_ev = self._generator.throw(event._value)
+                        next_ev = _throw(self._generator, event._value)
                 except StopIteration as exc:
                     self._target = None
+                    self.env._processes.discard(self)
                     self.succeed(exc.value)
                     return
                 except BaseException as exc:
                     self._target = None
+                    self.env._processes.discard(self)
                     self.fail(exc)
                     return
 
@@ -132,9 +152,11 @@ class Process(Event):
                     try:
                         self._generator.throw(err)
                     except StopIteration as exc:
+                        self.env._processes.discard(self)
                         self.succeed(exc.value)
                         return
                     except BaseException as exc:
+                        self.env._processes.discard(self)
                         self.fail(exc)
                         return
                     continue

@@ -1,23 +1,31 @@
 """Canonical run identity: what makes two runs *the same run*.
 
-A run digest is a sha256 over four components:
+A run digest is a sha256 over five components:
 
 ``config``
     The canonical cache key of the :class:`ExperimentConfig` —
     every behavior-affecting field, serialized with sorted keys at
     every nesting level (dict insertion order must never leak into
     the digest), defaults filled by ``dataclasses.asdict``.  Fields
-    that are *labels* (``exp_id``, ``tags``) or *pinned
-    trace-neutral execution knobs* (``seed`` — keyed separately —
-    ``bulk``, ``lean``, ``shards``) are excluded: the determinism
+    that are *labels* (``exp_id``, ``tags``), *pinned trace-neutral
+    execution knobs* (``bulk``, ``lean``) or keyed by their own
+    component (``seed``, ``shards``) are excluded: the determinism
     suites guarantee that same-seed traces are byte-identical across
-    those switches, so two configs differing only there denote the
-    same simulated run (see :data:`CACHE_KEY_EXCLUDED`).
+    ``bulk`` and ``lean``, so two configs differing only there denote
+    the same simulated run (see :data:`CACHE_KEY_EXCLUDED`).
 
 ``seed``
     Kept out of the config key so sweeps get per-seed granularity: a
     64-seed ensemble with 60 seeds already stored simulates only the
     missing 4.
+
+``sharded``
+    Whether the run executes on the partition-sharded engine.  A
+    sharded run's trace differs from the serial one (one-window-stale
+    routing counters, partitioned RNG; ``docs/MODEL.md`` §6), so the
+    two never share an entry.  The shard count is not keyed: a
+    sharded trace does not depend on how the partitions are grouped
+    into shards.
 
 ``workload``
     ``"derived"`` when the task set comes from
@@ -43,14 +51,15 @@ from typing import Any, Dict, Optional, Sequence
 #: Version of the digest scheme itself; bump on any change to the
 #: normalization or fingerprint rules so old stores go stale instead
 #: of serving entries keyed under different semantics.
-KEY_SCHEME = 1
+KEY_SCHEME = 2
 
 #: Config fields excluded from the cache key.  ``exp_id`` and
-#: ``tags`` are labels (no effect on the simulation); ``seed`` is a
-#: separate digest component; ``bulk``, ``lean`` and ``shards`` are
-#: execution switches whose trace-neutrality is pinned by
-#: ``tests/property/test_prop_bulk_submit.py`` and the shard
-#: determinism suite — byte-identical profiles for any value.
+#: ``tags`` are labels (no effect on the simulation); ``seed`` and
+#: ``shards`` are keyed by their own digest components (see
+#: :func:`is_sharded`); ``bulk`` and ``lean`` are execution switches
+#: whose trace-neutrality is pinned by
+#: ``tests/property/test_prop_bulk_submit.py`` — byte-identical
+#: profiles for any value.
 CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed", "bulk", "lean", "shards")
 
 
@@ -80,6 +89,16 @@ def cache_key(cfg) -> str:
     """sha256 of the normalized config document (seed excluded)."""
     payload = canonical_json(normalize_config(cfg))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def is_sharded(cfg) -> bool:
+    """Whether ``cfg`` runs on the partition-sharded engine (two or
+    more shards once resolved on this host)."""
+    if cfg.shards is None:
+        return False
+    from ..shard import resolve_shards
+
+    return resolve_shards(cfg.shards) >= 2
 
 
 def workload_digest(descriptions: Sequence) -> str:
@@ -155,6 +174,7 @@ def run_digest(cfg, seed: Optional[int] = None,
         "scheme": KEY_SCHEME,
         "config": cache_key(cfg),
         "seed": int(seed),
+        "sharded": is_sharded(cfg),
         "workload": workload,
         "code": fingerprint if fingerprint is not None
         else code_fingerprint(),

@@ -2,6 +2,7 @@
 defaults, parallel fan-out, aggregation, and the CLI surface."""
 
 import json
+import os
 
 import pytest
 
@@ -114,6 +115,22 @@ class TestRunEnsemble:
 
         ens = harness_run_ensemble(CFG, seeds=[0])
         assert ens.engine == "vectorized"
+
+
+class TestAutoParallelReplay:
+    """A replay sweep with ``parallel`` unset sizes its pool by the
+    cores this process may use, not by the host's CPU count."""
+
+    FLUX_N = config_by_id("flux_n", n_nodes=2, n_partitions=2, waves=1)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_workers_follow_affinity(self, monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        ens = run_ensemble(self.FLUX_N, seeds="0-3")
+        assert ens.engine == "replay"
+        assert ens.n_workers == cores
 
 
 class TestRunRepetitionsSeeds:

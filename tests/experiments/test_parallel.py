@@ -17,6 +17,7 @@ from repro.experiments import (
     run_many,
     run_repetitions,
 )
+from repro.experiments.parallel import usable_cores
 
 #: Small but real hybrid run: both backends, mixed CPU/GPU tasks.
 CFG = ExperimentConfig(exp_id="hybrid_par", launcher="flux+dragon",
@@ -32,11 +33,20 @@ def _metrics(r):
 # -- resolve_jobs -----------------------------------------------------------
 
 def test_resolve_jobs_auto_uses_cores():
+    cores = usable_cores()
+    assert resolve_jobs(None) == cores
+    assert resolve_jobs("auto") == cores
+    assert resolve_jobs(0) == cores
+
+
+def test_usable_cores_follow_affinity(monkeypatch):
     import os
 
-    assert resolve_jobs(None) == (os.cpu_count() or 1)
-    assert resolve_jobs("auto") == (os.cpu_count() or 1)
-    assert resolve_jobs(0) == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert usable_cores() == 1
+    assert resolve_jobs("auto") == 1
 
 
 def test_resolve_jobs_explicit_and_clamped():
@@ -58,16 +68,12 @@ def test_resolve_jobs_rejects_garbage():
 
 
 def test_resolve_jobs_string_zero_means_auto():
-    import os
-
-    assert resolve_jobs("0") == (os.cpu_count() or 1)
+    assert resolve_jobs("0") == usable_cores()
 
 
 def test_resolve_jobs_oversubscription_allowed():
     # More workers than cores is the user's call; only n_items clamps.
-    import os
-
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     assert resolve_jobs(cores + 9) == cores + 9
     assert resolve_jobs(cores + 9, n_items=cores + 2) == cores + 2
     # Degenerate n_items never drops below one worker.

@@ -86,6 +86,14 @@ class TestRunDigest:
         c = cfg()
         assert run_digest(c, seed=7) == run_digest(c.with_seed(7))
 
+    def test_sharded_component(self):
+        # The config key ignores shards, the run digest does not:
+        # sharded and serial traces differ.
+        c = config_by_id("flux_n", n_nodes=8, n_partitions=4)
+        assert cache_key(c) == cache_key(replace(c, shards=2))
+        assert run_digest(c) != run_digest(replace(c, shards=2))
+        assert run_digest(c) == run_digest(replace(c, shards=1))
+
     def test_derived_workload_matches_none(self):
         c = cfg()
         descriptions = build_workload(c)
