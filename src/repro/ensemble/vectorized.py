@@ -100,8 +100,7 @@ def supports_vectorized(cfg, latencies: LatencyModel = FRONTIER_LATENCIES
     """Whether ``cfg`` qualifies for a vectorized ensemble engine.
 
     Common requirements: a uniform single-core no-staging null/dummy
-    workload, no fault injection, no partition sharding.  On top of
-    that, per launcher:
+    workload and no fault injection.  On top of that, per launcher:
 
     * ``srun`` — always (the pipeline is FIFO in task order, ties
       cannot reorder grants);
@@ -121,7 +120,7 @@ def supports_vectorized(cfg, latencies: LatencyModel = FRONTIER_LATENCIES
     """
     if cfg.workload not in _SYNTHETIC:
         return False
-    if cfg.faults is not None or cfg.shards is not None:
+    if cfg.faults is not None:
         return False
     if _uniform_description(cfg) is None:
         return False
@@ -216,7 +215,7 @@ def capture_preamble(cfg, latencies: LatencyModel = FRONTIER_LATENCIES,
                          overheads=startup_overheads(session.profiler),
                          backend_meta=backend_meta)
     finally:
-        session.close()
+        session.unwire()
 
 
 def dispatch_mean(cfg, latencies: LatencyModel) -> float:

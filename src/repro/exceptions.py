@@ -92,8 +92,8 @@ class StoreError(ReproError):
 
 
 class HostFailureError(SimulationError):
-    """Raised when a *host-side* worker process (shard worker, pool
-    worker) is lost — crashed pid or hung heartbeat — and supervision
-    is off or its respawn budget is exhausted.  Distinct from
+    """Raised when a *host-side* pool worker is lost (killed by the OS
+    or a signal) more often than the pool's retry budget allows.
+    Distinct from
     :class:`NodeFailureError`, which models failures of the *simulated*
     machine."""

@@ -119,7 +119,7 @@ def fig7_data(quick: bool = False) -> FigureData:
             session.run(pilot.active_event())
             overheads = startup_overheads(session.profiler, kind=backend)
             rows.append((backend, n, round(overheads[0][1], 3)))
-            session.close()
+            session.unwire()
     return FigureData(
         figure_id="fig7", title="instance launching overheads",
         columns=("runtime", "nodes_per_instance", "startup_s"),

@@ -355,7 +355,6 @@ def result_to_doc(result) -> Dict[str, Any]:
         "startup_overheads": [list(pair) for pair in
                               result.startup_overheads],
         "wall_seconds": result.wall_seconds,
-        "n_shards": result.n_shards,
     }
 
 
@@ -377,7 +376,6 @@ def result_from_doc(cfg: "ExperimentConfig", doc: Dict[str, Any]):
         startup_overheads=[(str(n), float(v)) for n, v in
                            doc.get("startup_overheads", [])],
         wall_seconds=float(doc.get("wall_seconds", 0.0)),
-        n_shards=int(doc.get("n_shards", 0)),
     )
 
 

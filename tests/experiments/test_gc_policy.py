@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, run_ensemble, run_experiment
 from repro.experiments import harness
 from repro.experiments.configs import config_by_id, faults_configs
 
@@ -60,6 +60,25 @@ def test_dropped_run_leaves_no_cyclic_garbage(cfg, gc_enabled):
     result = run_experiment(cfg)
     assert result.n_done + result.n_failed == result.n_tasks
     del result
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("exp_id", ["srun", "flux_1", "dragon"])
+def test_vectorized_ensemble_leaves_no_cyclic_garbage(exp_id, gc_enabled):
+    # The vectorized engine builds sessions outside run_experiment to
+    # capture the pilot preamble; they must free themselves the same
+    # way.  The collector stays off for the call so that an automatic
+    # collection cannot hide garbage the call left.
+    cfg = config_by_id(exp_id, n_nodes=2, waves=1)
+    run_ensemble(cfg, seeds=[0, 1, 2])  # first-use imports and caches
+    collect_all()
+    gc.disable()
+    try:
+        ens = run_ensemble(cfg, seeds=[0, 1, 2])
+    finally:
+        gc.enable()
+    assert ens.engine == "vectorized"
+    del ens
     assert gc.collect() == 0
 
 

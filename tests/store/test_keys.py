@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from repro.experiments.configs import config_by_id
 from repro.experiments.harness import build_workload
 from repro.store.keys import (
     CACHE_KEY_EXCLUDED,
+    KEY_SCHEME,
     cache_key,
+    canonical_json,
     code_fingerprint,
     normalize_config,
     run_digest,
@@ -86,13 +89,17 @@ class TestRunDigest:
         c = cfg()
         assert run_digest(c, seed=7) == run_digest(c.with_seed(7))
 
-    def test_sharded_component(self):
-        # The config key ignores shards, the run digest does not:
-        # sharded and serial traces differ.
-        c = config_by_id("flux_n", n_nodes=8, n_partitions=4)
-        assert cache_key(c) == cache_key(replace(c, shards=2))
-        assert run_digest(c) != run_digest(replace(c, shards=2))
-        assert run_digest(c) == run_digest(replace(c, shards=1))
+    def test_scheme_3_components(self):
+        # Scheme 3 digests exactly config key, seed, workload and code:
+        # nothing else about how the run executes is part of its
+        # identity.
+        c = cfg(seed=5)
+        payload = canonical_json({"scheme": 3, "config": cache_key(c),
+                                  "seed": 5, "workload": "derived",
+                                  "code": "f" * 64})
+        assert KEY_SCHEME == 3
+        assert run_digest(c, fingerprint="f" * 64) == \
+            hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def test_derived_workload_matches_none(self):
         c = cfg()

@@ -3,8 +3,6 @@ cache at per-seed granularity."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 import repro.store.keys as keys_mod
@@ -84,20 +82,6 @@ class TestRunExperiment:
         run_experiment(quick_cfg(), cache=tmp_path / "store")
         other = run_experiment(quick_cfg(seed=7), cache=tmp_path / "store")
         assert other.provenance == "fresh"
-
-    def test_sharded_run_does_not_serve_serial_request(self, tmp_path):
-        # Sharded traces differ from serial ones (MODEL.md section 6),
-        # so a serial request after a sharded run of the same config
-        # must miss and simulate the serial trace afresh.
-        cfg = config_by_id("flux_n", n_nodes=8, n_partitions=4, seed=3)
-        store = RunStore(tmp_path / "store")
-        sharded = run_experiment(replace(cfg, shards=2), shard_inline=True,
-                                 cache=store)
-        serial = run_experiment(cfg, cache=store)
-        assert serial.provenance == "fresh"
-        assert serial.cache["digest"] != sharded.cache["digest"]
-        assert serial.makespan == run_experiment(cfg).makespan
-        assert serial.makespan != sharded.makespan
 
     def test_wall_seconds_reflects_lookup_not_stored_run(self, tmp_path):
         cfg = quick_cfg()

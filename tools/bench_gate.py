@@ -21,8 +21,8 @@ BENCH_ensemble.json's ensemble-vs-independent speedup and
 BENCH_store.json's cold-vs-warm speedup and memoized hit rate are
 gated like rates — a drop means the engine or the store lost its
 edge).
-``checkpoint_overhead*`` and ``recovery_seconds*`` are **cost**
-metrics gated the other way around: they fail when the fresh value
+``checkpoint_overhead*`` keys are **cost** metrics gated the other
+way around: they fail when the fresh value
 *rises* more than the threshold above the baseline (absolute slack —
 costs sit near zero, where ratios explode on noise).  A file or key
 missing from the baseline is reported and skipped — new benchmarks
@@ -46,15 +46,14 @@ from typing import Dict, Iterator, List, Tuple
 #: hitting.
 METRIC_PREFIX = ("tasks_per_wall_second", "per_seed_speedup",
                  "warm_speedup", "hit_rate")
-COST_PREFIX = ("checkpoint_overhead", "recovery_seconds")
+COST_PREFIX = ("checkpoint_overhead",)
 
 
 def entry_label(entry, index: int) -> str:
     """A content-derived label for one list entry.
 
     BENCH_scale.json's ``points[]`` entries are labelled by what they
-    measure (``9408n64p``, plus ``xNshards`` for sharded points), not
-    by position — so reordering points or inserting one in the middle
+    measure (``9408n64p``), not by position — so reordering points or inserting one in the middle
     compares each point against *its own* baseline instead of its
     neighbour's.  Entries without identifying keys keep the positional
     ``[i]`` form.
@@ -63,9 +62,6 @@ def entry_label(entry, index: int) -> str:
         label = f"{entry['n_nodes']}n"
         if "n_partitions" in entry:
             label += f"{entry['n_partitions']}p"
-        shards = entry.get("n_shards") or entry.get("shards")
-        if shards:
-            label += f"x{shards}shards"
         return label
     return f"[{index}]"
 
