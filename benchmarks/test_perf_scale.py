@@ -7,9 +7,9 @@ throughput and peak RSS per point to ``BENCH_scale.json``.
 
 Each point runs in a fresh subprocess so ``ru_maxrss`` is the honest
 per-point peak (in-process it would only ever ratchet up), and so the
-points do not share allocator state.  The family enables the scale
-machinery this benchmark exists to guard: bulk submission, lean
-retention, and a spilling profiler, all trace-neutral.
+points do not share allocator state.  The runs exercise the scale
+machinery this benchmark exists to guard: wave admission and lean
+Flux retention (always on) and a spilling profiler (trace-neutral).
 
 The full-machine point carries the ISSUE's resource budget: it must
 finish inside ``WALL_BUDGET_S`` and ``RSS_BUDGET_MB``.  The budgets

@@ -41,7 +41,6 @@ class FluxExecutor(ExecutorBase):
             n_instances=n_instances, policy=policy,
             name=f"{agent.uid}.flux", profiler=self.profiler,
             metrics=self.metrics, faults=agent.faults,
-            lean=agent.session.lean,
             tracer=agent.obs.tracer if agent.obs.enabled else None)
         #: flux job id -> RP task, for event correlation.
         self._job_to_task: Dict[str, "Task"] = {}

@@ -167,7 +167,7 @@ class Task:
 def build_tasks(env: "Environment", uids: List[str],
                 descriptions: List[TaskDescription],
                 profiler: Optional["Profiler"] = None) -> List["Task"]:
-    """Batched task construction for the bulk submission pipeline.
+    """Batched task construction for :meth:`TaskManager.submit_tasks`.
 
     Produces exactly the objects and trace records that ``n`` calls of
     ``Task(env, uid, desc, profiler)`` would, but shares the per-state

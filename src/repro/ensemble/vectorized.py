@@ -365,7 +365,7 @@ def synthesize_profiler(preamble: _Preamble, scheduled: np.ndarray,
     own exec-start / exec-stop / done cascade (zero-duration payloads,
     flux's synchronous finish), ordered by a per-record subkey under
     the stable merge sort.  Meta dicts are shared across records
-    exactly like the kernel's bulk path shares them — they are
+    exactly like the kernel's wave admission shares them — they are
     read-only once recorded.
 
     By default the four per-task record streams are

@@ -18,7 +18,7 @@ instruments this package provides:
 Observability is **disabled by default** and engineered to be
 near-free when off: components hold ``None`` instead of metric
 handles and guard each update with one identity check, the kernel's
-hot dispatch loops are untouched (the instrumented loop is a separate
+hot dispatch loop is untouched (the instrumented loop is a separate
 code path selected once per ``run()`` call), and same-seed traces are
 byte-identical with observability on, off, or absent — instruments
 observe the simulation, they never perturb it.
@@ -151,7 +151,7 @@ class Observability:
         """Instrument a simulation kernel with event/queue metrics.
 
         Selects the kernel's instrumented dispatch loop; a no-op when
-        observability is disabled (the fast loops stay in place).
+        observability is disabled (the fast loop stays in place).
         """
         if not self.enabled:
             return

@@ -18,13 +18,16 @@ exercised by the property-based tests in ``tests/sim``.
 Performance
 -----------
 ``run`` is the hottest function in the whole codebase (every
-simulated event passes through it), so its three loops inline the
-single-event dispatch instead of calling :meth:`step`, bind
-``heapq.heappop`` and the queue to locals, and branch on the
-queue-entry shape directly.  ``_run_instrumented`` is its metered
-twin, taken once per call when observability is on; the two are the
-only loops that dispatch events, and every run — plain, faulty,
-checkpointed or resumed — advances one kernel in one process.
+simulated event passes through it), so its one loop inlines the
+single-event dispatch instead of calling :meth:`step`, binds
+``heapq.heappop`` and the queue to locals, and branches on the
+queue-entry shape directly.  All three ``until`` forms share that
+loop: each becomes a time horizon plus a stop event (an infinite
+horizon when draining or awaiting an event, a stop that never fires
+when not awaiting one).  ``_run_instrumented`` is its metered twin —
+one loop again — taken once per call when observability is on; the
+two are the only loops that dispatch events, and every run — plain,
+faulty, checkpointed or resumed — advances one kernel in one process.
 ``step`` remains the readable, fully-checked reference implementation
 used by external callers and tests.  See ``docs/MODEL.md``
 ("Performance model of the simulator itself") for the full picture.
@@ -55,8 +58,23 @@ from .process import Process, ProcessGenerator, _INIT
 #: callbacks (marker ``False``, see ``schedule_callback``).
 _QueueItem = Tuple[float, int, int, Event]
 
+_INF = float("inf")
+
+
+class _NeverStop:
+    """The stop condition of a run that is not waiting on an event:
+    looks like an event that is never processed."""
+
+    __slots__ = ("callbacks",)
+
+    def __init__(self) -> None:
+        self.callbacks = ()
+
+
+_NEVER = _NeverStop()
+
 #: Dispatch count between firings of the telemetry probe
-#: (``Environment._probe``) inside the instrumented loops.  The probe
+#: (``Environment._probe``) inside the instrumented loop.  The probe
 #: itself rate-limits on wall time; the stride only bounds how often
 #: that wall-clock check runs, so it can stay coarse.
 PROBE_STRIDE = 4096
@@ -81,11 +99,11 @@ class Environment:
         self._processes: set = set()
         #: Optional kernel instrumentation (see
         #: :class:`repro.observability.metrics.KernelInstrument`).
-        #: ``None`` keeps the fast dispatch loops below untouched; the
+        #: ``None`` keeps the fast dispatch loop below untouched; the
         #: check happens once per :meth:`run` call, not per event.
         self._instrument = None
         #: Optional zero-argument telemetry heartbeat, called every
-        #: :data:`PROBE_STRIDE` dispatches by the *instrumented* loops
+        #: :data:`PROBE_STRIDE` dispatches by the *instrumented* loop
         #: only (telemetry implies observability).  The probe must be
         #: read-only: no scheduling, no RNG, no clock writes — the
         #: determinism tests pin that instrumented runs with a probe
@@ -251,6 +269,49 @@ class Environment:
             # swallowing a crashed process.
             raise event._value
 
+    def _run_bounds(self, until: Optional[Any]) -> Tuple[float, Any]:
+        """``(horizon, stop)`` of one :meth:`run` call.
+
+        Every ``until`` form becomes the same loop condition — dispatch
+        while the next event is due by ``horizon`` and ``stop`` is not
+        yet processed: draining runs to an infinite horizon with a stop
+        that never fires, a time bound uses that time as the horizon,
+        and an awaited event is the stop.
+        """
+        if until is None:
+            return _INF, _NEVER
+        if isinstance(until, Event):
+            return _INF, until
+        horizon = float(until)
+        if horizon < self._now:
+            raise SimulationError(
+                f"cannot run until {horizon} (already at {self._now})"
+            )
+        return horizon, _NEVER
+
+    def _run_result(self, until: Optional[Any], horizon: float,
+                    stop: Any) -> Any:
+        """Close one :meth:`run` call once its loop has exited."""
+        if stop is _NEVER:
+            if until is not None and horizon > self._now:
+                # Only move the clock forward; run(until=now) with
+                # nothing left to do must leave the clock bit-for-bit
+                # untouched.
+                self._now = horizon
+            return None
+        if stop.callbacks is not None:
+            # The loop only leaves an unprocessed stop behind when the
+            # queue ran dry.
+            raise SimulationError(
+                "simulation ran out of events before the awaited "
+                "event triggered (deadlock?)"
+            )
+        if stop._ok:
+            return stop._value
+        if isinstance(stop._value, BaseException):
+            raise stop._value
+        raise SimulationError(f"awaited event failed: {stop._value!r}")
+
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
 
@@ -258,69 +319,17 @@ class Environment:
         (run until that simulated time) or an :class:`Event` (run until
         it is processed, returning its value).
         """
-        # The dispatch body is intentionally inlined in each loop (and
-        # must match step() semantically): at ~1e6 events/s of kernel
-        # throughput, a method call per event costs double-digit
-        # percentages of total runtime.
         if self._instrument is not None:
             return self._run_instrumented(until)
+        horizon, stop = self._run_bounds(until)
         queue = self._queue
         pop = heappop
-
-        if until is None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                if len(entry) == 5:
-                    if entry[4]:
-                        event._resume(_INIT)
-                    else:
-                        event(None)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if event._ok is False and not callbacks and not event._defused:
-                    raise event._value
-            return None
-
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:  # i.e. not yet processed
-                if not queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered (deadlock?)"
-                    )
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                if len(entry) == 5:
-                    if entry[4]:
-                        event._resume(_INIT)
-                    else:
-                        event(None)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if event._ok is False and not callbacks and not event._defused:
-                    raise event._value
-            if stop._ok:
-                return stop._value
-            if isinstance(stop._value, BaseException):
-                raise stop._value
-            raise SimulationError(f"awaited event failed: {stop._value!r}")
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"cannot run until {horizon} (already at {self._now})"
-            )
-        while queue and queue[0][0] <= horizon:
+        # The dispatch body is intentionally inlined (and must match
+        # step() semantically): at ~1e6 events/s of kernel throughput,
+        # a method call per event costs double-digit percentages of
+        # total runtime.
+        while queue and queue[0][0] <= horizon \
+                and stop.callbacks is not None:
             entry = pop(queue)
             self._now = entry[0]
             event = entry[3]
@@ -336,16 +345,12 @@ class Environment:
                 cb(event)
             if event._ok is False and not callbacks and not event._defused:
                 raise event._value
-        if horizon > self._now:
-            # Only move the clock forward; run(until=now) with nothing
-            # left to do must leave the clock bit-for-bit untouched.
-            self._now = horizon
-        return None
+        return self._run_result(until, horizon, stop)
 
     def _run_instrumented(self, until: Optional[Any] = None) -> Any:
         """The metered twin of :meth:`run` (observability enabled).
 
-        Mirrors ``run``'s inlined dispatch loops exactly — nothing here
+        Mirrors ``run``'s inlined dispatch loop exactly — nothing here
         touches event ordering, RNG state or the clock beyond what
         ``run`` does, so instrumented runs produce byte-identical
         traces.  The metering itself is O(1) per ``run()`` call, not
@@ -366,88 +371,12 @@ class Environment:
         probe = self._probe
         # inf sentinel: with no probe the countdown never reaches zero,
         # so the per-event cost is one subtract and one compare.
-        stride = PROBE_STRIDE if probe is not None else float("inf")
+        stride = PROBE_STRIDE if probe is not None else _INF
         tick = stride
         try:
-            if until is None:
-                while queue:
-                    tick -= 1.0
-                    if tick <= 0.0:
-                        probe()
-                        tick = stride
-                    depth_last = len(queue)
-                    if depth_last > depth_max:
-                        depth_max = depth_last
-                    if depth_min < 0 or depth_last < depth_min:
-                        depth_min = depth_last
-                    entry = pop(queue)
-                    self._now = entry[0]
-                    event = entry[3]
-                    if len(entry) == 5:
-                        if entry[4]:
-                            n_bootstraps += 1
-                            event._resume(_INIT)
-                        else:
-                            n_callbacks += 1
-                            event(None)
-                        continue
-                    n_events += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not callbacks and not event._defused:
-                        raise event._value
-                return None
-
-            if isinstance(until, Event):
-                stop = until
-                while stop.callbacks is not None:
-                    if not queue:
-                        raise SimulationError(
-                            "simulation ran out of events before the "
-                            "awaited event triggered (deadlock?)"
-                        )
-                    tick -= 1.0
-                    if tick <= 0.0:
-                        probe()
-                        tick = stride
-                    depth_last = len(queue)
-                    if depth_last > depth_max:
-                        depth_max = depth_last
-                    if depth_min < 0 or depth_last < depth_min:
-                        depth_min = depth_last
-                    entry = pop(queue)
-                    self._now = entry[0]
-                    event = entry[3]
-                    if len(entry) == 5:
-                        if entry[4]:
-                            n_bootstraps += 1
-                            event._resume(_INIT)
-                        else:
-                            n_callbacks += 1
-                            event(None)
-                        continue
-                    n_events += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for cb in callbacks:
-                        cb(event)
-                    if event._ok is False and not callbacks and not event._defused:
-                        raise event._value
-                if stop._ok:
-                    return stop._value
-                if isinstance(stop._value, BaseException):
-                    raise stop._value
-                raise SimulationError(
-                    f"awaited event failed: {stop._value!r}")
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise SimulationError(
-                    f"cannot run until {horizon} (already at {self._now})"
-                )
-            while queue and queue[0][0] <= horizon:
+            horizon, stop = self._run_bounds(until)
+            while queue and queue[0][0] <= horizon \
+                    and stop.callbacks is not None:
                 tick -= 1.0
                 if tick <= 0.0:
                     probe()
@@ -475,9 +404,7 @@ class Environment:
                     cb(event)
                 if event._ok is False and not callbacks and not event._defused:
                     raise event._value
-            if horizon > self._now:
-                self._now = horizon
-            return None
+            return self._run_result(until, horizon, stop)
         finally:
             ins.flush(n_events, n_bootstraps, n_callbacks,
                       depth_max, depth_min, depth_last)

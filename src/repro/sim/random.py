@@ -100,9 +100,9 @@ class RngStreams:
 
         Consumes the same per-stream prefetch buffer in the same order
         (including ``math.exp`` for the transform, so not even the last
-        ulp differs), which is what lets the bulk task pipeline admit a
-        whole wave while staying byte-compatible with per-task
-        submission traces.
+        ulp differs), which is what lets the vectorized ensemble engines
+        draw a whole wave's dispatch costs at once and still match the
+        kernel's per-task draws.
         """
         if n <= 0:
             return []

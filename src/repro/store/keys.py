@@ -7,12 +7,9 @@ A run digest is a sha256 over four components:
     every behavior-affecting field, serialized with sorted keys at
     every nesting level (dict insertion order must never leak into
     the digest), defaults filled by ``dataclasses.asdict``.  Fields
-    that are *labels* (``exp_id``, ``tags``), *pinned trace-neutral
-    execution knobs* (``bulk``, ``lean``) or keyed by their own
-    component (``seed``) are excluded: the determinism
-    suites guarantee that same-seed traces are byte-identical across
-    ``bulk`` and ``lean``, so two configs differing only there denote
-    the same simulated run (see :data:`CACHE_KEY_EXCLUDED`).
+    that are *labels* (``exp_id``, ``tags``) or keyed by their own
+    component (``seed``) are excluded (see
+    :data:`CACHE_KEY_EXCLUDED`).
 
 ``seed``
     Kept out of the config key so sweeps get per-seed granularity: a
@@ -47,11 +44,8 @@ KEY_SCHEME = 3
 
 #: Config fields excluded from the cache key.  ``exp_id`` and
 #: ``tags`` are labels (no effect on the simulation); ``seed`` is
-#: keyed by its own digest component; ``bulk`` and ``lean`` are
-#: execution switches whose trace-neutrality is pinned by
-#: ``tests/property/test_prop_bulk_submit.py`` — byte-identical
-#: profiles for any value.
-CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed", "bulk", "lean")
+#: keyed by its own digest component.
+CACHE_KEY_EXCLUDED = ("exp_id", "tags", "seed")
 
 
 def normalize_config(cfg) -> Dict[str, Any]:

@@ -28,7 +28,7 @@ class TestDispatchCost:
         lat = DETERMINISTIC_LATENCIES
         _, _, agent = active_agent((PartitionSpec("srun"),), nodes=8)
         expected = lat.agent_dispatch_base + 8 * lat.agent_dispatch_per_node
-        assert agent.dispatch_cost() == pytest.approx(expected)
+        assert agent._dispatch_mean() == pytest.approx(expected)
 
     def test_flux_instances_add_coordination(self):
         lat = DETERMINISTIC_LATENCIES
@@ -36,14 +36,14 @@ class TestDispatchCost:
             (PartitionSpec("flux", n_instances=4),), nodes=8)
         base = lat.agent_dispatch_base + 8 * lat.agent_dispatch_per_node
         expected = base * (1 + 4 * lat.agent_coord_per_instance)
-        assert agent.dispatch_cost() == pytest.approx(expected)
+        assert agent._dispatch_mean() == pytest.approx(expected)
 
     def test_dragon_instances_do_not_add_flux_penalty(self):
         lat = DETERMINISTIC_LATENCIES
         _, _, agent = active_agent(
             (PartitionSpec("dragon", n_instances=4),), nodes=8)
         expected = lat.agent_dispatch_base + 8 * lat.agent_dispatch_per_node
-        assert agent.dispatch_cost() == pytest.approx(expected)
+        assert agent._dispatch_mean() == pytest.approx(expected)
 
 
 class TestMaxTaskCapacity:

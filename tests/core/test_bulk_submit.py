@@ -1,12 +1,12 @@
-"""Bulk task submission: the batched admission pipeline.
+"""Wave admission: the agent's one intake path.
 
-``TaskManager.submit_tasks(bulk=True)`` constructs tasks through
+``TaskManager.submit_tasks`` constructs tasks through
 :func:`~repro.core.task.build_tasks` (shared frozen descriptions,
-shared payload/meta dicts) and admits whole waves through
-``Agent.submit_bulk`` — one chained kernel callback per wave instead
-of one queue entry per task.  Byte-identical trace equivalence with
-the legacy path is covered by the property suite and the pinned
-determinism digests; these tests cover the machinery's edges.
+shared payload/meta dicts) and admits them as one wave through
+``Agent.admit`` — one chained kernel callback walks the dispatch
+queue instead of one queue entry per task.  Same-seed traces are
+pinned by the determinism digests; these tests cover the
+machinery's edges.
 """
 
 import pytest
@@ -58,39 +58,47 @@ class TestBuildTasks:
 class TestBulkSubmission:
     def test_bulk_wave_completes(self, session):
         pilot, tmgr = launch(session)
-        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 20,
-                                  bulk=True)
+        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 20)
         session.run(tmgr.wait_tasks())
         assert len(tasks) == 20
         assert all(t.succeeded for t in tasks)
 
     def test_bulk_before_bootstrap_is_backlogged(self, session):
         """Waves submitted before the agent is alive are admitted at
-        bootstrap, exactly like the legacy intake queue."""
+        bootstrap."""
         pilot, tmgr = launch(session)
-        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 8,
-                                  bulk=True)
-        assert pilot.agent._bulk_backlog or pilot.agent._bulk_pending
+        tasks = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 8)
+        assert list(pilot.agent._queued) == tasks
+        assert not pilot.agent._dispatching
         session.run(tmgr.wait_tasks())
         assert all(t.succeeded for t in tasks)
-        assert not pilot.agent._bulk_backlog
-        assert not pilot.agent._bulk_pending
+        assert not pilot.agent._queued
+        assert not pilot.agent._dispatching
 
-    def test_mixed_bulk_and_legacy(self, session):
+    def test_successive_waves(self, session):
+        """A wave, a single task and a wave admitted while the first
+        still queues all pass the dispatch stage in submission order."""
         pilot, tmgr = launch(session)
-        bulk = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 5,
-                                 bulk=True)
-        legacy = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 5)
+        first = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 5)
+        session.run(pilot.active_event())
+        single = tmgr.submit_tasks(TaskDescription(duration=1.0))
+        last = tmgr.submit_tasks([TaskDescription(duration=1.0)] * 5)
+        assert len(pilot.agent._queued) > len(last) + 1
         session.run(tmgr.wait_tasks())
-        assert all(t.succeeded for t in bulk + legacy)
+        tasks = first + [single] + last
+        assert all(t.succeeded for t in tasks)
+        assert pilot.agent.n_dispatched == 11
+        scheduled = [next(when for when, state in t.state_history
+                          if state == TaskState.AGENT_SCHEDULING)
+                     for t in tasks]
+        assert scheduled == sorted(scheduled)
 
     def test_bulk_staging_path(self, session):
         """Tasks with input staging must still route through the
         staging handler, not straight to the executor."""
         pilot, tmgr = launch(session)
         tasks = tmgr.submit_tasks(
-            [TaskDescription(duration=1.0, input_staging=4)] * 4,
-            bulk=True)
+            [TaskDescription(duration=1.0, input_staging=4)] * 4)
         session.run(tmgr.wait_tasks())
         assert all(t.succeeded for t in tasks)
         for t in tasks:
@@ -99,17 +107,17 @@ class TestBulkSubmission:
 
     def test_empty_bulk_is_noop(self, session):
         pilot, tmgr = launch(session)
-        assert tmgr.submit_tasks([], bulk=True) == []
+        assert tmgr.submit_tasks([]) == []
+        session.run(pilot.active_event())
+        assert tmgr.submit_tasks([]) == []
+        assert not pilot.agent._dispatching
 
     def test_shutdown_cancels_pending_bulk(self, session):
         """Tasks admitted but not yet dispatched when the allocation's
-        walltime expires are canceled at shutdown, like the legacy
-        intake drain."""
+        walltime expires are canceled at shutdown."""
         pilot, tmgr = launch(session, walltime=60.0)
-        tasks = tmgr.submit_tasks([TaskDescription(duration=5000.0)] * 2000,
-                                  bulk=True)
+        tasks = tmgr.submit_tasks([TaskDescription(duration=5000.0)] * 2000)
         session.run()
-        assert not pilot.agent._bulk_backlog
-        assert not pilot.agent._bulk_pending
+        assert not pilot.agent._queued
         canceled = [t for t in tasks if t.state == TaskState.CANCELED]
         assert canceled, "a 2000-task backlog cannot drain in 60s"

@@ -39,6 +39,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "warpdrive" in err
 
+    @pytest.mark.parametrize("flag", ["--bulk", "--lean"])
+    def test_removed_switches_rejected(self, flag, capsys):
+        # Wave admission and lean Flux retention are the only paths;
+        # their old switches are unknown arguments.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "flux_1", "--nodes", "1", "--waves", "1", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_run_with_summary(self, capsys):
         assert main(["run", "flux_1", "--nodes", "1", "--waves", "1",
                      "--summary"]) == 0

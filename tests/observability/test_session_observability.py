@@ -131,6 +131,23 @@ class TestSrunCeilingSaturation:
             result.n_tasks
 
 
+class TestAgentIntakeGauge:
+    def test_intake_depth_tracks_queued_tasks(self):
+        """All 224 tasks of a one-wave run queue at once; the gauge
+        reads the tasks still waiting after each dispatch, so it peaks
+        at 223 and drains to 0 (the values the per-task intake store
+        reported)."""
+        cfg = ExperimentConfig(exp_id="flux_1", launcher="flux",
+                               workload="null", n_nodes=4, duration=0.0,
+                               waves=1, seed=1)
+        result = run_experiment(cfg, keep_session=True, observe=True)
+        depth = _value(result.session.obs.registry,
+                       "repro_agent_intake_depth")
+        assert result.n_tasks == 224
+        assert depth.max == 223
+        assert depth.value == 0
+
+
 class TestDeterminism:
     CFG = ExperimentConfig(exp_id="flux_1", launcher="flux",
                            workload="dummy", n_nodes=2,

@@ -65,6 +65,23 @@ class TestRun:
         env.run()
         assert hits == [1]
         assert env.peek() == float("inf")
+        assert env.now == 5.0
+
+
+class TestRunMetered(TestRun):
+    """The same ``run`` semantics through the metered loop."""
+
+    @pytest.fixture
+    def env(self, metered_env):
+        return metered_env
+
+    def test_metered_loop_is_taken(self, env):
+        for d in (1, 2, 3):
+            env.schedule(d, lambda: None)
+        env.run(until=2)
+        env.run()
+        assert env._instrument._runs.value == 2
+        assert env._instrument._events.value == 3
 
 
 class TestOrdering:

@@ -56,6 +56,46 @@ class TestRunHorizons:
         assert hits == ["due-now"]
         assert env.now == 2.0
 
+    def test_run_until_inf_drains_then_parks_clock_at_inf(self, env):
+        hits = []
+        env.schedule(3.0, hits.append, 1)
+        env.run(until=float("inf"))
+        assert hits == [1]
+        assert env.peek() == float("inf")
+        assert env.now == float("inf")
+
+    def test_awaited_event_stops_before_later_events(self, env):
+        hits = []
+        stop = env.timeout(2.0, value="stop")
+        env.schedule(2.0, hits.append, "same-time-later")
+        env.schedule(5.0, hits.append, "later")
+        assert env.run(stop) == "stop"
+        assert hits == []
+        assert env.now == 2.0
+        assert env.peek() == 2.0
+
+    def test_awaited_event_already_processed(self, env):
+        done = env.timeout(1.0, value=7)
+        env.run()
+        assert env.run(done) == 7
+
+    def test_awaited_defused_failure_is_raised(self, env):
+        # A defused failure passes through dispatch silently; awaiting
+        # it still surfaces the exception.
+        ev = env.event()
+        ev._defused = True
+        ev.fail(RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(ev)
+
+
+class TestRunHorizonsMetered(TestRunHorizons):
+    """The same horizon semantics through the metered loop."""
+
+    @pytest.fixture
+    def env(self, metered_env):
+        return metered_env
+
 
 class TestZeroDelays:
     def test_zero_delay_timeout_fires_now(self, env):

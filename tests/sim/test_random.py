@@ -70,8 +70,8 @@ class TestDistributions:
 
 class TestLognormalBatch:
     """`lognormal_latency_batch` must be bitwise identical to the
-    equivalent sequence of scalar draws — the bulk submission path
-    relies on it to keep traces byte-identical to the legacy path."""
+    equivalent sequence of scalar draws — the vectorized ensemble
+    engines rely on it to match the kernel's per-task draws."""
 
     def test_batch_matches_sequential_bitwise(self):
         a, b = RngStreams(7), RngStreams(7)

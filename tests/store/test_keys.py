@@ -57,11 +57,11 @@ class TestCacheKey:
         assert cache_key(base) == cache_key(relabeled)
 
     def test_trace_neutral_switches_excluded(self):
-        # bulk/lean are pinned trace-neutral by the determinism
-        # suites; the cache key must not distinguish them.
-        base = cfg()
-        assert cache_key(base) == cache_key(replace(base, bulk=True))
-        assert cache_key(base) == cache_key(replace(base, lean=True))
+        # The execution switches that were once excluded from the key
+        # are gone from the config; the normalized document — and so
+        # every stored key under KEY_SCHEME 3 — is unchanged.
+        assert cache_key(cfg()) == (
+            "b5d24567bcabd1bfb4b580f0828c5ab75c3cb3f0ec6bdd2dc3fe11aa412f326a")
 
     def test_behavior_fields_included(self):
         base = cfg()
