@@ -3,9 +3,13 @@
 Measures how many *simulated* tasks the DES stack pushes through per
 wall-clock second on the fixed reference configuration — 64 nodes,
 4 Flux partitions, one full null-task load (14,336 tasks) — and
-writes the number to ``BENCH_kernel.json`` at the repo root so the
-driver can track kernel performance across commits.  The simulated
-metrics themselves are deterministic; only the wall rate varies.
+writes the number to ``BENCH_kernel.json`` at the repo root, so that
+kernel performance can be tracked across commits.  A second point
+measures the placement-heavy path: the IMPECCABLE.v2 campaign on srun
+at 1,024 nodes (ESMACS tasks span 25 nodes, ``scoring_mmpbsa`` tasks
+128 whole nodes), written as ``tasks_per_wall_second_impeccable_srun``.
+The simulated metrics themselves are deterministic; only the wall
+rate varies.
 
 See docs/MODEL.md, "Performance model of the simulator itself", for
 where the cycles go and what the fast paths are.
@@ -16,7 +20,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import (ExperimentConfig, run_experiment,
+                               table1_configs)
 
 from .conftest import BENCH_ROUNDS, rate_stats, run_once, write_bench
 
@@ -34,22 +39,35 @@ CFG = ExperimentConfig(exp_id="perf_kernel", launcher="flux",
                        waves=4, seed=0)
 
 
-def _rate() -> float:
-    result = run_experiment(CFG)
-    assert result.n_tasks == 14336
-    assert result.n_done == result.n_tasks
-    return result.n_tasks / result.wall_seconds
+#: The placement-heavy point: Table 1's impeccable_srun row at 1,024
+#: nodes, seed 0 (1,620 tasks).  One run lasts only a few tenths of a
+#: second, so a round is ``IMPECCABLE_RUNS`` back-to-back runs, about
+#: as long as one round of the reference point.
+IMPECCABLE_CFG = next(
+    cfg for cfg in table1_configs()
+    if cfg.exp_id == "impeccable_srun" and cfg.n_nodes == 1024
+).with_seed(0)
+IMPECCABLE_RUNS = 4
 
 
-def test_kernel_tasks_per_wall_second(benchmark, emit):
-    stats = run_once(benchmark, lambda: rate_stats(_rate))
-    rate = stats["median"]
+def _rate(cfg: ExperimentConfig, n_tasks: int, runs: int = 1) -> float:
+    wall = 0.0
+    for _ in range(runs):
+        result = run_experiment(cfg)
+        assert result.n_tasks == n_tasks
+        assert result.n_done == result.n_tasks
+        wall += result.wall_seconds
+    return runs * n_tasks / wall
 
-    write_bench(BENCH_FILE,
-                {"tasks_per_wall_second": rate,
-                 "spread": stats,
-                 "rounds": BENCH_ROUNDS})
-    emit(f"kernel throughput: {rate:,.0f} simulated tasks / wall second "
+
+def _report(suffix: str, label: str, stats: dict, emit) -> None:
+    """Merge one point's rate and spread into ``BENCH_kernel.json``
+    (keeping the other point's entries), print it and check drift."""
+    doc = json.loads(BENCH_FILE.read_text()) if BENCH_FILE.is_file() else {}
+    doc.update({"tasks_per_wall_second" + suffix: stats["median"],
+                "spread" + suffix: stats, "rounds": BENCH_ROUNDS})
+    write_bench(BENCH_FILE, doc)
+    emit(f"{label}: {stats['median']:,.0f} simulated tasks / wall second "
          f"(median of {BENCH_ROUNDS} after warmup, round spread "
          f"{stats['min']:,.0f}-{stats['max']:,.0f}, first "
          f"{stats['first']:,.0f}, last {stats['last']:,.0f})\n"
@@ -58,3 +76,14 @@ def test_kernel_tasks_per_wall_second(benchmark, emit):
         f"in-process drift: the last round ran at {stats['last']:,.0f} "
         f"tasks/s, under {MIN_LAST_OVER_FIRST:.0%} of the first round's "
         f"{stats['first']:,.0f}")
+
+
+def test_kernel_tasks_per_wall_second(benchmark, emit):
+    stats = run_once(benchmark, lambda: rate_stats(lambda: _rate(CFG, 14336)))
+    _report("", "kernel throughput", stats, emit)
+
+
+def test_impeccable_srun_tasks_per_wall_second(benchmark, emit):
+    stats = run_once(benchmark, lambda: rate_stats(
+        lambda: _rate(IMPECCABLE_CFG, 1620, IMPECCABLE_RUNS)))
+    _report("_impeccable_srun", "impeccable_srun throughput", stats, emit)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from ..exceptions import AllocationError, ResourceError
-from .node import Node, Placement
+from ..exceptions import AllocationError
+from .node import Node, NodeHealth, Placement
 from .spec import ResourceSpec
 
 
@@ -39,14 +39,14 @@ class Allocation:
         self._total_gpus = sum(n.n_gpus for n in self.nodes)
         self._free_cores = sum(n.free_cores for n in self.nodes)
         self._free_gpus = sum(n.free_gpus for n in self.nodes)
-        # Usable capacity: total minus the capacity of DOWN nodes.
+        # Usable capacity: total minus the capacity of DOWN nodes (a
+        # DRAINING node still counts, as in ``_on_node_down``).
         # Updated only by fault events (Node.fail/recover), so healthy
         # runs never touch it after construction.
-        self._down_nodes = sum(1 for n in self.nodes if not n.is_up)
-        self._usable_cores = self._total_cores - sum(
-            n.n_cores for n in self.nodes if not n.is_up)
-        self._usable_gpus = self._total_gpus - sum(
-            n.n_gpus for n in self.nodes if not n.is_up)
+        down = [n for n in self.nodes if n.health is NodeHealth.DOWN]
+        self._down_nodes = len(down)
+        self._usable_cores = self._total_cores - sum(n.n_cores for n in down)
+        self._usable_gpus = self._total_gpus - sum(n.n_gpus for n in down)
         # First-fit scan hint: every node at a position below
         # ``_scan_hint`` is fully busy (zero free cores and GPUs), so
         # ``try_place`` can skip straight past them.  The hint advances
@@ -199,32 +199,30 @@ class Allocation:
             hint += 1
         self._scan_hint = hint
         placements: List[Placement] = []
-        try:
-            if spec.exclusive_nodes:
-                for i in range(hint, n_nodes):
-                    if cores_needed <= 0 and gpus_needed <= 0:
-                        break
-                    node = nodes[i]
-                    if not node.is_idle:
-                        continue
-                    placements.append(node.allocate(node.n_cores, node.n_gpus))
-                    cores_needed -= node.n_cores
-                    gpus_needed -= node.n_gpus
-            else:
-                for i in range(hint, n_nodes):
-                    if cores_needed <= 0 and gpus_needed <= 0:
-                        break
-                    node = nodes[i]
-                    take_c = min(cores_needed, len(node._free_cores))
-                    take_g = min(gpus_needed, len(node._free_gpus))
-                    if take_c <= 0 and take_g <= 0:
-                        continue
-                    placements.append(node.allocate(max(take_c, 0), max(take_g, 0)))
-                    cores_needed -= take_c
-                    gpus_needed -= take_g
-            if cores_needed > 0 or gpus_needed > 0:
-                raise ResourceError("insufficient free resources")
-        except ResourceError:
+        if spec.exclusive_nodes:
+            for i in range(hint, n_nodes):
+                if cores_needed <= 0 and gpus_needed <= 0:
+                    break
+                node = nodes[i]
+                if not node.is_idle:
+                    continue
+                placements.append(node.allocate(node.n_cores, node.n_gpus))
+                cores_needed -= node.n_cores
+                gpus_needed -= node.n_gpus
+        else:
+            for i in range(hint, n_nodes):
+                if cores_needed <= 0 and gpus_needed <= 0:
+                    break
+                node = nodes[i]
+                take_c = min(cores_needed, len(node._free_cores))
+                take_g = min(gpus_needed, len(node._free_gpus))
+                if take_c <= 0 and take_g <= 0:
+                    continue
+                placements.append(node.allocate(max(take_c, 0), max(take_g, 0)))
+                cores_needed -= take_c
+                gpus_needed -= take_g
+        if cores_needed > 0 or gpus_needed > 0:
+            # Shortfall: hand back what the scan claimed (all or nothing).
             self.release(placements)
             return None
         return placements

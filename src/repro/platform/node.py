@@ -1,9 +1,14 @@
-"""Compute-node model with explicit core and GPU slot maps.
+"""Compute-node model with explicit core and GPU slot ids.
 
 Slot-level bookkeeping (rather than mere counters) lets the property
 tests assert the strongest possible invariant: *no slot is ever held
 by two placements at once*, exactly the guarantee a real node-level
-resource manager provides.
+resource manager provides.  Each node's slots are partitioned three
+ways: the free lists, the lost lists (confiscated while unhealthy) and
+the slot tuples of the live placements, which the node keeps in a
+registry of the :class:`Placement` objects it has handed out.  A
+release is checked against that registry by identity, so it costs the
+same whatever the placement's slot count.
 """
 
 from __future__ import annotations
@@ -51,7 +56,14 @@ class Placement(NamedTuple):
 
 
 class Node:
-    """One compute node with ``n_cores`` CPU cores and ``n_gpus`` GPUs."""
+    """One compute node with ``n_cores`` CPU cores and ``n_gpus`` GPUs.
+
+    Invariant: the free lists, the lost lists and the placements in
+    ``_live`` together hold every core slot in ``range(n_cores)`` and
+    every GPU slot in ``range(n_gpus)`` exactly once.  ``release``
+    accepts only a placement object this node granted and has not yet
+    taken back.
+    """
 
     def __init__(self, index: int, n_cores: int, n_gpus: int = 0,
                  mem_gb: float = 512.0, name: str = "") -> None:
@@ -66,8 +78,10 @@ class Node:
         self.mem_gb = mem_gb
         self._free_cores: List[int] = list(range(n_cores))
         self._free_gpus: List[int] = list(range(n_gpus))
-        self._held_cores: set = set()
-        self._held_gpus: set = set()
+        #: Placements handed out and not yet released, keyed by
+        #: ``id``.  The value keeps the placement alive, so its id
+        #: cannot be reused while it is registered.
+        self._live: dict = {}
         self.health = NodeHealth.UP
         # Slots confiscated while unhealthy.  Keeping them out of the
         # free lists means a DOWN/DRAINING node looks fully busy to the
@@ -99,7 +113,8 @@ class Node:
 
     @property
     def is_idle(self) -> bool:
-        return self.free_cores == self.n_cores and self.free_gpus == self.n_gpus
+        return (len(self._free_cores) == self.n_cores
+                and len(self._free_gpus) == self.n_gpus)
 
     @property
     def is_up(self) -> bool:
@@ -129,45 +144,39 @@ class Node:
         del free_cores[:cores]
         gpu_slots = tuple(free_gpus[:gpus])
         del free_gpus[:gpus]
-        self._held_cores.update(core_slots)
-        self._held_gpus.update(gpu_slots)
+        placement = Placement(self.index, core_slots, gpu_slots)
+        self._live[id(placement)] = placement
         for watcher in self._watchers:
             watcher._on_node_delta(-cores, -gpus, self.index)
-        return Placement(self.index, core_slots, gpu_slots)
+        return placement
 
     def release(self, placement: Placement) -> None:
-        """Return a placement's slots.  Double-free raises."""
-        if placement.node_index != self.index:
+        """Return a placement's slots.
+
+        Raises :class:`ResourceError`, changing nothing, unless
+        ``placement`` is a live placement this node granted: a double
+        free, a release on the wrong node and a look-alike placement
+        built by hand are all rejected.
+        """
+        if self._live.pop(id(placement), None) is not placement:
             raise ResourceError(
-                f"placement for node {placement.node_index} released on "
-                f"node {self.index}"
+                f"{self.name}: release of a placement on node "
+                f"{placement.node_index} that this node does not hold "
+                f"(double free, wrong node or never granted)"
             )
-        held_cores = self._held_cores
-        # Slots released on an unhealthy node are confiscated rather
-        # than freed: the capacity is gone until the node recovers, so
-        # no positive delta reaches the watchers and the node keeps
-        # reading as fully busy to the placement scan.
-        free_cores = self._free_cores if self.health is NodeHealth.UP \
-            else self._lost_cores
-        for slot in placement.core_slots:
-            try:
-                held_cores.remove(slot)
-            except KeyError:
-                raise ResourceError(f"{self.name}: core {slot} double-freed")
-            free_cores.append(slot)
-        held_gpus = self._held_gpus
-        free_gpus = self._free_gpus if self.health is NodeHealth.UP \
-            else self._lost_gpus
-        for slot in placement.gpu_slots:
-            try:
-                held_gpus.remove(slot)
-            except KeyError:
-                raise ResourceError(f"{self.name}: gpu {slot} double-freed")
-            free_gpus.append(slot)
         if self.health is NodeHealth.UP:
+            self._free_cores.extend(placement.core_slots)
+            self._free_gpus.extend(placement.gpu_slots)
             for watcher in self._watchers:
                 watcher._on_node_delta(len(placement.core_slots),
                                        len(placement.gpu_slots), self.index)
+        else:
+            # Slots released on an unhealthy node are confiscated
+            # rather than freed: the capacity is gone until the node
+            # recovers, so no delta reaches the watchers and the node
+            # keeps reading as fully busy to the placement scan.
+            self._lost_cores.extend(placement.core_slots)
+            self._lost_gpus.extend(placement.gpu_slots)
 
     # -- health ------------------------------------------------------------
 

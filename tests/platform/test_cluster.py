@@ -105,6 +105,19 @@ class TestPlacement:
         assert alloc.try_place(ResourceSpec(cores=100)) is None
         assert alloc.free_cores == before
 
+    def test_shortfall_after_partial_scan_rolls_back(self):
+        alloc = generic(3).allocate_nodes(3)
+        alloc.nodes[0].allocate(1)
+        alloc.nodes[1].allocate(1)
+        # 22 free cores pass the aggregate check; the scan claims only
+        # node 2 (the one idle node) and must hand it back.
+        assert alloc.try_place(
+            ResourceSpec(cores=16, exclusive_nodes=True)) is None
+        assert alloc.nodes[2].is_idle
+        assert alloc.free_cores == 22
+        pls = alloc.try_place(ResourceSpec(cores=8, exclusive_nodes=True))
+        assert [p.node_index for p in pls] == [alloc.nodes[2].index]
+
     def test_gpu_placement(self):
         alloc = generic(2, gpus_per_node=2).allocate_nodes(2)
         pls = alloc.try_place(ResourceSpec(cores=1, gpus=3))
@@ -146,3 +159,18 @@ class TestPlacement:
         cluster = generic(2)
         with pytest.raises(AllocationError):
             Allocation(cluster, [])
+
+
+class TestUsableCapacity:
+    def test_allocation_built_over_draining_node(self):
+        cluster = generic(2)
+        pilot = cluster.allocate_nodes(2)
+        node = pilot.nodes[0]
+        node.drain()
+        alloc = Allocation(cluster, pilot.nodes)
+        # DRAINING still counts as usable; only DOWN does not.
+        assert (alloc.n_down_nodes, alloc.usable_cores) == (0, 16)
+        node.fail()
+        assert (alloc.n_down_nodes, alloc.usable_cores) == (1, 8)
+        node.recover()
+        assert (alloc.n_down_nodes, alloc.usable_cores) == (0, 16)
