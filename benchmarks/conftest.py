@@ -58,12 +58,13 @@ def rate_stats(fn, rounds: int = None, warmup: bool = True) -> dict:
     slow outlier, which is the dominant noise shape observed (runs
     are only ever *slowed down* by interference, never sped up).
 
-    Returns ``{"min", "median", "max", "first", "last", "rounds",
-    "store"}`` so the BENCH JSONs record the whole spread — when the
+    Returns ``{"min", "median", "max", "first", "last", "rates",
+    "rounds", "store"}`` so the BENCH JSONs record the whole spread — when the
     regression gate trips, the baseline's min/max show whether the
     median moved outside the machine's observed noise band or the run
     was just unlucky.  ``first`` and ``last`` are the first and last
-    measured rounds in call order: a long-lived process must run as
+    measured rounds in call order and ``rates`` all of them, in call
+    order: a long-lived process must run as
     fast as a fresh one, and a last round well below the first means
     the rate depends on how many runs came before it (in-process
     drift, such as cyclic-GC cost growing with the heap) rather than
@@ -90,6 +91,7 @@ def rate_stats(fn, rounds: int = None, warmup: bool = True) -> dict:
         "max": max(rates),
         "first": rates[0],
         "last": rates[-1],
+        "rates": rates,
         "rounds": rounds,
         "store": STATS.delta(before),
     }

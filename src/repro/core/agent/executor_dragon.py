@@ -149,12 +149,12 @@ class DragonExecutor(ExecutorBase):
         """Forward the failure to the runtime whose partition owns the
         node; its worker pool shrinks and tasks there are killed."""
         for rt in self.runtimes:
-            if node.index in rt.allocation._by_index:
+            if node.index in rt.allocation._pos:
                 rt.fail_node(node)
                 return
 
     def on_node_recover(self, node) -> None:
         for rt in self.runtimes:
-            if node.index in rt.allocation._by_index:
+            if node.index in rt.allocation._pos:
                 rt.recover_node(node)
                 return

@@ -152,14 +152,14 @@ class FluxExecutor(ExecutorBase):
         """Forward the failure to the instance whose partition owns the
         node; its running jobs there are killed and requeued."""
         for inst in self.hierarchy.instances:
-            if node.index in inst.allocation._by_index:
+            if node.index in inst.allocation._pos:
                 inst.fail_node(node)
                 return
 
     def on_node_recover(self, node) -> None:
         """Recovered capacity: kick the owning instance's scheduler."""
         for inst in self.hierarchy.instances:
-            if node.index in inst.allocation._by_index:
+            if node.index in inst.allocation._pos:
                 inst._kick()
                 return
 

@@ -3,7 +3,7 @@
 The paper (§5): "Our work demonstrated how RP complements PRRTE's
 minimalist design by supplying scheduling, fault tolerance, and
 coordination logic."  Accordingly this executor pairs the agent's
-:class:`~repro.core.agent.scheduler.PartitionScheduler` (slot-level
+:class:`~repro.core.agent.scheduler.PartitionScheduler` (count-based
 placement) with a :class:`~repro.rjms.prrte.PrrteDVM` (fast launch,
 no ceiling, no internal queue).
 """
@@ -66,13 +66,13 @@ class PrrteExecutor(ExecutorBase):
         from ...sim import Interrupt
 
         try:
-            placements = yield self.scheduler.place(
+            grant = yield self.scheduler.place(
                 task.description.resources)
         except SchedulingError as exc:
             self.agent.attempt_finished(task, ok=False, reason=str(exc))
             return
         if task.is_final:
-            self.scheduler.free(placements)
+            self.scheduler.free(grant)
             return
         self.n_active += 1
         payload_failed = task.description.fail
@@ -90,7 +90,7 @@ class PrrteExecutor(ExecutorBase):
             canceled = True
         finally:
             self.n_active -= 1
-            self.scheduler.free(placements)
+            self.scheduler.free(grant)
             self._steps.pop(task.uid, None)
         if canceled:
             return

@@ -1,6 +1,6 @@
 """The srun executor: RP's default launch path via Slurm.
 
-The agent scheduler places tasks on the partition (slot-level), then
+The agent scheduler places tasks on the partition (count-based), then
 each task is launched through the machine-wide
 :class:`~repro.rjms.srun.SrunLauncher` — paying the serialized
 controller RPC and holding one of the 112 concurrency-ceiling slots
@@ -34,9 +34,9 @@ class SrunExecutor(ExecutorBase):
         self._alive = False
         self._procs = {}
         self._steps = {}
-        #: task uid -> granted placements, so node failures can find
+        #: task uid -> grant, so node failures can find
         #: the tasks running on the dead node.
-        self._placements = {}
+        self._grants = {}
 
     @property
     def outstanding(self) -> int:
@@ -75,15 +75,14 @@ class SrunExecutor(ExecutorBase):
         return False
 
     def on_node_failure(self, node) -> None:
-        """Kill the running steps with placements on the dead node;
+        """Kill the running steps with grants on the dead node;
         their attempts fail as infrastructure failures and qualify for
         retry.  Queued requests that no longer fit the shrunken
         partition fail immediately instead of deadlocking the queue."""
         from ...exceptions import NodeFailureError
 
-        index = node.index
-        for uid, placements in list(self._placements.items()):
-            if all(pl.node_index != index for pl in placements):
+        for uid, grant in list(self._grants.items()):
+            if node not in grant.nodes:
                 continue
             step = self._steps.get(uid)
             if step is not None and getattr(step, "is_alive", False):
@@ -99,7 +98,7 @@ class SrunExecutor(ExecutorBase):
         from ...sim import Interrupt
 
         try:
-            placements = yield self.scheduler.place(task.description.resources)
+            grant = yield self.scheduler.place(task.description.resources)
         except NodeFailureError as exc:
             self._procs.pop(task.uid, None)
             self.agent.attempt_finished(task, ok=False, reason=str(exc),
@@ -112,18 +111,18 @@ class SrunExecutor(ExecutorBase):
         if task.is_final:
             # Canceled while waiting for resources.
             self._procs.pop(task.uid, None)
-            self.scheduler.free(placements)
+            self.scheduler.free(grant)
             return
-        self._placements[task.uid] = placements
+        self._grants[task.uid] = grant
         faults = self.agent.faults
         if faults is not None:
             fault = faults.launch_outcome("srun")
             if fault is not None:
                 if fault.delay > 0:
                     yield self.env.timeout(fault.delay)
-                self._placements.pop(task.uid, None)
+                self._grants.pop(task.uid, None)
                 self._procs.pop(task.uid, None)
-                self.scheduler.free(placements)
+                self.scheduler.free(grant)
                 self.agent.attempt_finished(task, ok=False,
                                             reason=fault.reason, infra=True)
                 return
@@ -145,10 +144,10 @@ class SrunExecutor(ExecutorBase):
                 if interrupt.cause is not None else "canceled"
         finally:
             self.n_active -= 1
-            self.scheduler.free(placements)
+            self.scheduler.free(grant)
             self._procs.pop(task.uid, None)
             self._steps.pop(task.uid, None)
-            self._placements.pop(task.uid, None)
+            self._grants.pop(task.uid, None)
         if interrupt_cause is not None:
             if isinstance(interrupt_cause, (NodeFailureError, BackendError)):
                 # Killed by a fault, not canceled: report the attempt so

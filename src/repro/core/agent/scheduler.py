@@ -1,7 +1,7 @@
 """The agent-level partition scheduler.
 
 For backends where RP itself owns placement (srun, Dragon), the agent
-scheduler hands out slot-level placements on the backend's partition,
+scheduler hands out count-based grants on the backend's partition,
 queueing requests FIFO while resources are busy.  (Flux partitions
 schedule internally; tasks routed there bypass this component.)
 """
@@ -9,10 +9,9 @@ schedule internally; tasks routed there bypass this component.)
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Tuple
 
-from ...platform.cluster import Allocation
-from ...platform.node import Placement
+from ...platform.cluster import Allocation, Grant
 from ...platform.spec import ResourceSpec
 from ...sim import Environment, Event
 
@@ -45,7 +44,7 @@ class PartitionScheduler:
         return len(self._pending)
 
     def place(self, spec: ResourceSpec) -> Event:
-        """Request a placement; the event fires with the placements list.
+        """Request a placement; the event fires with the grant.
 
         Requests are granted strictly FIFO — a large task at the queue
         head blocks later small ones (the agent relies on the backend's
@@ -65,34 +64,34 @@ class PartitionScheduler:
                 f"{self.name}: unsatisfiable after node failure"))
             return ev
         if not self._pending:
-            placements = self.allocation.try_place(spec)
-            if placements is not None:
+            grant = self.allocation.try_place(spec)
+            if grant is not None:
                 self.n_placed += 1
                 if self._m_placed is not None:
                     self._m_placed.inc()
-                ev.succeed(placements)
+                ev.succeed(grant)
                 return ev
         self._pending.append((spec, ev))
         if self._m_queue is not None:
             self._m_queue.set(len(self._pending))
         return ev
 
-    def free(self, placements: List[Placement]) -> None:
-        """Release placements and drain the FIFO queue as far as possible."""
-        self.allocation.release(placements)
+    def free(self, grant: Grant) -> None:
+        """Release a grant and drain the FIFO queue as far as possible."""
+        self.allocation.release(grant)
         self._drain()
 
     def _drain(self) -> None:
         while self._pending:
             spec, ev = self._pending[0]
-            placements = self.allocation.try_place(spec)
-            if placements is None:
+            grant = self.allocation.try_place(spec)
+            if grant is None:
                 break
             self._pending.popleft()
             self.n_placed += 1
             if self._m_placed is not None:
                 self._m_placed.inc()
-            ev.succeed(placements)
+            ev.succeed(grant)
         if self._m_queue is not None:
             self._m_queue.set(len(self._pending))
 

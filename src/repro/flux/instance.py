@@ -17,8 +17,9 @@ behaviour in the paper:
   ``flux_lane_rate`` spawns/s scaled by a per-run background-load
   factor.
 
-Placement is real: every running job holds node slots in the
-instance's :class:`~repro.platform.cluster.Allocation`.
+Placement is real: every running job holds a
+:class:`~repro.platform.cluster.Grant` of cores and GPUs on nodes of
+the instance's :class:`~repro.platform.cluster.Allocation`.
 """
 
 from __future__ import annotations
@@ -289,17 +290,15 @@ class FluxInstance:
     def fail_node(self, node) -> None:
         """A node of this allocation went DOWN (fault injection).
 
-        Jobs with placements on the node are killed (their held slots
+        Jobs with grants on the node are killed (their held counts
         release into the node's lost pool) and pending jobs that no
         longer fit the shrunken usable capacity fail immediately, so
         the queue cannot deadlock behind an unsatisfiable head.
         """
         if self.state in (InstanceState.STOPPED, InstanceState.FAILED):
             return
-        index = node.index
         for job in list(self._running):
-            if not job.placements or \
-                    all(pl.node_index != index for pl in job.placements):
+            if job.grant is None or node not in job.grant.nodes:
                 continue
             proc = self._run_procs.get(job.job_id)
             if proc is not None and getattr(proc, "is_alive", False):
@@ -484,8 +483,8 @@ class FluxInstance:
                 yield self._wake
                 continue
             now = self.env.now
-            for job, placements in matches:
-                job.placements = placements
+            for job, grant in matches:
+                job.grant = grant
                 job.alloc_time = now
                 job.state = FluxJobState.RUN
                 self._running.append(job)
@@ -571,14 +570,14 @@ class FluxInstance:
 
     def _retire(self, job: FluxJob, canceled: bool) -> None:
         """Release resources and drop run bookkeeping for a job."""
-        had_placements = bool(job.placements)
+        had_grant = job.grant is not None
         self._release(job)
         if job in self._running:
             self._running.remove(job)
             if self._m_running is not None:
                 self._m_running.set(len(self._running))
         self._run_procs.pop(job.job_id, None)
-        if had_placements:
+        if had_grant:
             # Mirror flux's resource-release event so subscribers can
             # track the instance's free pool without polling.
             self.events.publish(job.job_id, EV_RELEASE,
@@ -587,9 +586,9 @@ class FluxInstance:
         self._kick()
 
     def _release(self, job: FluxJob) -> None:
-        if job.placements:
-            self.allocation.release(job.placements)
-            job.placements = None
+        if job.grant is not None:
+            self.allocation.release(job.grant)
+            job.grant = None
 
     def _kick(self) -> None:
         """Wake the scheduler loop if it is sleeping."""

@@ -10,10 +10,13 @@ the backfill policy), and launch attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..exceptions import JobspecError
 from ..platform.spec import ResourceSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..platform.cluster import Grant
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,8 @@ class FluxJob:
     start_time: Optional[float] = None
     finish_time: Optional[float] = None
     exception: Optional[str] = None
-    placements: Optional[list] = None
+    #: The job's placement while it holds resources.
+    grant: Optional["Grant"] = None
     #: Position in the instance's ingest order; the scheduling-order
     #: tie-breaker (see :func:`repro.flux.scheduler.order_key`).
     ingest_seq: int = 0

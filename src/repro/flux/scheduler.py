@@ -11,7 +11,7 @@ Two policies cover the paper's configurations:
   jobs may jump ahead if their walltime keeps them clear of the
   head's reservation.  Used for heterogeneous IMPECCABLE mixes.
 
-Both policies perform real slot-level placement through
+Both policies perform real count-based placement through
 :meth:`repro.platform.cluster.Allocation.try_place`, so the
 no-oversubscription invariant holds by construction.
 """
@@ -24,9 +24,9 @@ from ..platform.cluster import Allocation
 from .jobspec import FluxJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..platform.node import Placement
+    from ..platform.cluster import Grant
 
-Match = Tuple[FluxJob, List["Placement"]]
+Match = Tuple[FluxJob, "Grant"]
 
 def order_key(job: FluxJob) -> Tuple[int, int]:
     """Scheduling order: higher urgency first, ingest order breaks ties.
@@ -78,10 +78,10 @@ class FcfsPolicy:
         for job in _order_queue(queue, presorted):
             if limit is not None and len(matches) >= limit:
                 break
-            placements = allocation.try_place(job.spec.resources)
-            if placements is None:
+            grant = allocation.try_place(job.spec.resources)
+            if grant is None:
                 break  # strict FCFS: nothing may overtake the head
-            matches.append((job, placements))
+            matches.append((job, grant))
         return matches
 
 
@@ -103,9 +103,9 @@ class EasyBackfillPolicy:
             if limit is not None and len(matches) >= limit:
                 break
             if blocked_head is None:
-                placements = allocation.try_place(job.spec.resources)
-                if placements is not None:
-                    matches.append((job, placements))
+                grant = allocation.try_place(job.spec.resources)
+                if grant is not None:
+                    matches.append((job, grant))
                     continue
                 blocked_head = job
                 shadow_time = self._shadow_time(job, allocation, running, now)
@@ -115,9 +115,9 @@ class EasyBackfillPolicy:
             est_end = now + job.spec.duration
             if est_end > shadow_time:
                 continue
-            placements = allocation.try_place(job.spec.resources)
-            if placements is not None:
-                matches.append((job, placements))
+            grant = allocation.try_place(job.spec.resources)
+            if grant is not None:
+                matches.append((job, grant))
         return matches
 
     @staticmethod

@@ -2,15 +2,15 @@
 
 This package substitutes for the paper's physical substrate (Frontier).
 It models exactly what the experiments exercise — resource counting,
-slot-level placement, node partitioning, and the timing behaviour of
+count-based placement, node partitioning, and the timing behaviour of
 the system software (see :mod:`repro.platform.latency` for the
 calibration).
 """
 
-from .cluster import Allocation, Cluster
+from .cluster import Allocation, Cluster, Grant
 from .filesystem import SharedFilesystem
 from .latency import DETERMINISTIC_LATENCIES, FRONTIER_LATENCIES, LatencyModel
-from .node import Node, NodeHealth, Placement
+from .node import Node, NodeHealth
 from .profiles import (
     FRONTIER_CORES_PER_NODE,
     FRONTIER_GPUS_PER_NODE,
@@ -29,10 +29,10 @@ __all__ = [
     "FRONTIER_GPUS_PER_NODE",
     "FRONTIER_LATENCIES",
     "FRONTIER_NODES",
+    "Grant",
     "LatencyModel",
     "Node",
     "NodeHealth",
-    "Placement",
     "ResourceSpec",
     "SharedFilesystem",
     "frontier",

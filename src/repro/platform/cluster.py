@@ -5,16 +5,51 @@ objects (the paper's substrate, Frontier, is homogeneous at the level
 the experiments exercise).  An :class:`Allocation` is the subset of
 nodes granted to one pilot job; it can be carved into disjoint
 :meth:`partitions <Allocation.partition>` for multi-instance Flux /
-Dragon deployments.
+Dragon deployments.  Each placed task holds one :class:`Grant`: its
+nodes and the cores and GPUs it holds on each, registered in the
+allocation that granted it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..exceptions import AllocationError
-from .node import Node, NodeHealth, Placement
+from ..exceptions import AllocationError, ResourceError
+from .node import Node, NodeHealth
 from .spec import ResourceSpec
+
+
+class Grant:
+    """One task's placement: its nodes in allocation order, the cores
+    and GPUs held on each, and their totals (whole nodes for an
+    ``exclusive_nodes`` spec).  Built and registered by
+    :meth:`Allocation.try_place`; only the same allocation's
+    :meth:`Allocation.release` takes it back."""
+
+    __slots__ = ("nodes", "node_cores", "node_gpus", "cores", "gpus")
+
+    def __init__(self, nodes: List[Node], node_cores: List[int],
+                 node_gpus: List[int], cores: int, gpus: int) -> None:
+        self.nodes = nodes
+        self.node_cores = node_cores
+        self.node_gpus = node_gpus
+        self.cores = cores
+        self.gpus = gpus
+
+    def __repr__(self) -> str:
+        return (f"<Grant nodes={[n.index for n in self.nodes]} "
+                f"cores={self.cores} gpus={self.gpus}>")
+
+
+def _push_per_node(grant: Grant, sign: int) -> None:
+    """Per-node deltas (``sign`` times each UP node's share) for a grant
+    whose nodes do not share one watcher list, as across a partition
+    boundary or a nested instance, or a release over an unhealthy node."""
+    for node, cores, gpus in zip(grant.nodes, grant.node_cores,
+                                 grant.node_gpus):
+        if node.health is NodeHealth.UP:
+            for watcher in node._watchers:
+                watcher._on_node_delta(sign * cores, sign * gpus, node.index)
 
 
 class Allocation:
@@ -28,12 +63,19 @@ class Allocation:
         self.nodes: List[Node] = list(nodes)
         self.walltime = walltime
         self.job_id = job_id
-        self._by_index = {n.index: n for n in self.nodes}
+        indices = [n.index for n in self.nodes]
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            # ``release`` relies on this order for its scan-hint
+            # pull-back; every constructor sorts or slices.
+            raise AllocationError(
+                "allocation nodes must be in ascending cluster index")
+        #: Live grants by ``id`` (the value keeps the id from reuse).
+        self._live: dict = {}
         # Aggregate counters, maintained incrementally.  The node set
         # is fixed for the allocation's lifetime, so the totals are
-        # computed once; the free counts are pushed by the nodes on
-        # every allocate/release (see Node._watchers), which keeps them
-        # exact even when several allocations share nodes (a pilot
+        # computed once; the free counts are pushed on every grant,
+        # release and health change (see Node._watchers), which keeps
+        # them exact even when several allocations share nodes (a pilot
         # allocation and its partitions, or a nested Flux instance).
         self._total_cores = sum(n.n_cores for n in self.nodes)
         self._total_gpus = sum(n.n_gpus for n in self.nodes)
@@ -53,7 +95,7 @@ class Allocation:
         # lazily during placement and is pulled back whenever a node
         # frees resources (including through *another* allocation that
         # shares the node — the delta callback carries the node index).
-        self._pos = {n.index: i for i, n in enumerate(self.nodes)}
+        self._pos = {index: i for i, index in enumerate(indices)}
         self._scan_hint = 0
         for node in self.nodes:
             node._watchers.append(self)
@@ -127,10 +169,6 @@ class Allocation:
     def n_down_nodes(self) -> int:
         return self._down_nodes
 
-    def up_nodes(self) -> List[Node]:
-        """The healthy (UP) nodes, in allocation order."""
-        return [n for n in self.nodes if n.is_up]
-
     # -- partitioning ----------------------------------------------------------
 
     def partition(self, n_partitions: int) -> List["Allocation"]:
@@ -173,11 +211,11 @@ class Allocation:
 
     # -- placement --------------------------------------------------------------
 
-    def try_place(self, spec: ResourceSpec) -> Optional[List[Placement]]:
+    def try_place(self, spec: ResourceSpec) -> Optional[Grant]:
         """First-fit placement of ``spec`` across the allocation's nodes.
 
-        Returns the list of per-node placements, or ``None`` when the
-        spec does not currently fit.  Multi-node specs are packed
+        Returns the task's :class:`Grant`, or ``None`` when the spec
+        does not currently fit.  Multi-node specs are packed
         node-by-node (whole nodes when ``exclusive_nodes``).
         """
         cores_needed = spec.cores
@@ -194,44 +232,100 @@ class Allocation:
         hint = self._scan_hint
         while hint < n_nodes:
             node = nodes[hint]
-            if node._free_cores or node._free_gpus:
+            if node.free_cores or node.free_gpus:
                 break
             hint += 1
         self._scan_hint = hint
-        placements: List[Placement] = []
-        if spec.exclusive_nodes:
-            for i in range(hint, n_nodes):
-                if cores_needed <= 0 and gpus_needed <= 0:
-                    break
-                node = nodes[i]
-                if not node.is_idle:
+        # The scan claims counts as it goes; the watchers hear of the
+        # grant only once it is complete (see ``release``).
+        watchers = nodes[hint]._watchers if hint < n_nodes else None
+        shared = True
+        taken: List[Node] = []
+        node_cores: List[int] = []
+        node_gpus: List[int] = []
+        exclusive = spec.exclusive_nodes
+        for i in range(hint, n_nodes):
+            node = nodes[i]
+            free_c = node.free_cores
+            free_g = node.free_gpus
+            if exclusive:
+                if free_c != node.n_cores or free_g != node.n_gpus:
                     continue
-                placements.append(node.allocate(node.n_cores, node.n_gpus))
-                cores_needed -= node.n_cores
-                gpus_needed -= node.n_gpus
+                take_c, take_g = free_c, free_g
+            else:
+                take_c = cores_needed if cores_needed < free_c else free_c
+                take_g = gpus_needed if gpus_needed < free_g else free_g
+                if not (take_c or take_g):
+                    continue
+            node.free_cores = free_c - take_c
+            node.free_gpus = free_g - take_g
+            if shared and node._watchers != watchers:
+                shared = False
+            taken.append(node)
+            node_cores.append(take_c)
+            node_gpus.append(take_g)
+            cores_needed -= take_c
+            gpus_needed -= take_g
+            if cores_needed <= 0 and gpus_needed <= 0:
+                break
         else:
-            for i in range(hint, n_nodes):
-                if cores_needed <= 0 and gpus_needed <= 0:
-                    break
-                node = nodes[i]
-                take_c = min(cores_needed, len(node._free_cores))
-                take_g = min(gpus_needed, len(node._free_gpus))
-                if take_c <= 0 and take_g <= 0:
-                    continue
-                placements.append(node.allocate(max(take_c, 0), max(take_g, 0)))
-                cores_needed -= take_c
-                gpus_needed -= take_g
-        if cores_needed > 0 or gpus_needed > 0:
             # Shortfall: hand back what the scan claimed (all or nothing).
-            self.release(placements)
+            for node, take_c, take_g in zip(taken, node_cores, node_gpus):
+                node.free_cores += take_c
+                node.free_gpus += take_g
             return None
-        return placements
+        grant = Grant(taken, node_cores, node_gpus,
+                      spec.cores - cores_needed, spec.gpus - gpus_needed)
+        self._live[id(grant)] = grant
+        if shared:
+            for watcher in watchers:
+                watcher._on_node_delta(-grant.cores, -grant.gpus,
+                                       taken[0].index)
+        else:
+            _push_per_node(grant, -1)
+        return grant
 
-    def release(self, placements: Iterable[Placement]) -> None:
-        """Release a list of placements previously handed out."""
-        by_index = self._by_index
-        for pl in placements:
-            by_index[pl.node_index].release(pl)
+    def release(self, grant: Grant) -> None:
+        """Give back a grant this allocation handed out.
+
+        Raises :class:`ResourceError`, changing nothing, unless
+        ``grant`` is live here: a double free, a release to the wrong
+        allocation and a look-alike grant built by hand are all
+        rejected.  Counts return to free on UP nodes; on unhealthy
+        nodes they are confiscated (lost) until the node recovers, so
+        no delta reaches the watchers and the node keeps reading as
+        fully busy to the placement scan.
+        """
+        if self._live.pop(id(grant), None) is not grant:
+            raise ResourceError(
+                f"{self.job_id or '?'}: release of a grant this allocation "
+                f"does not hold (double free, wrong allocation or never "
+                f"granted)")
+        # One aggregate delta per watcher when every node is UP and
+        # shares one watcher list.  Its first node is its lowest
+        # position in every watcher (all list nodes in ascending
+        # cluster index), so the scan-hint pull-back is as per node.
+        up = NodeHealth.UP
+        nodes = grant.nodes
+        watchers = nodes[0]._watchers
+        shared = True
+        for node, cores, gpus in zip(nodes, grant.node_cores,
+                                     grant.node_gpus):
+            if node.health is up:
+                node.free_cores += cores
+                node.free_gpus += gpus
+                if shared and node._watchers != watchers:
+                    shared = False
+            else:
+                node.lost_cores += cores
+                node.lost_gpus += gpus
+                shared = False
+        if shared:
+            index = nodes[0].index
+            for watcher in watchers:
+                watcher._on_node_delta(grant.cores, grant.gpus, index)
+        else:
+            _push_per_node(grant, 1)
 
     def __repr__(self) -> str:
         return (

@@ -18,8 +18,9 @@ class TestPlacement:
     def test_immediate_grant(self, env, sched):
         ev = sched.place(ResourceSpec(cores=4))
         assert ev.triggered
-        placements = ev.value
-        assert sum(p.cores for p in placements) == 4
+        grant = ev.value
+        assert grant.cores == 4
+        assert grant.nodes == sched.allocation.nodes[:1]
 
     def test_queues_when_full(self, env, sched):
         sched.place(ResourceSpec(cores=16))

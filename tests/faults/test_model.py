@@ -10,7 +10,7 @@ from repro.core import (
     TaskState,
 )
 from repro.faults import FaultSpec, RetryPolicy
-from repro.platform import generic
+from repro.platform import ResourceSpec, generic
 from repro.platform.node import NodeHealth
 from repro.workloads.synthetic import dummy_workload
 
@@ -191,3 +191,67 @@ class TestBackendCrash:
         assert all(t.succeeded for t in tasks)
         assert session.faults.injected["backend_restart"] == 0
         assert not victim.is_ready
+
+
+def run_crash_in_grant(backend, n_nodes, spec, duration=100.0,
+                       crash_at=50.0):
+    """One ``backend`` pilot running a single ``spec`` task; at
+    ``crash_at`` the *last* node of the task's grant fails.
+
+    Returns the session, the task, the failed node and every finished
+    attempt as ``(ok, reason, infra)``.
+    """
+    session = Session(cluster=generic(n_nodes, 8, 0), seed=5,
+                      faults=FaultSpec())
+    pmgr, tmgr = session.pilot_manager(), session.task_manager()
+    pilot = pmgr.submit_pilots(PilotDescription(
+        nodes=n_nodes, partitions=(PartitionSpec(backend),)))
+    tmgr.add_pilot(pilot)
+    [task] = tmgr.submit_tasks([TaskDescription(
+        executable="esmacs", resources=spec, duration=duration)])
+    attempts, crashed = [], []
+
+    def crash():
+        agent = pilot.agent
+        executor = agent.executors[backend]
+        if backend == "srun":
+            [grant] = executor._grants.values()
+        else:
+            [grant] = [job.grant for inst in executor.hierarchy.instances
+                       for job in inst._running]
+        assert len(grant.nodes) > 1
+        finished = agent.attempt_finished
+
+        def record(t, ok, reason="", infra=False):
+            attempts.append((ok, reason, infra))
+            finished(t, ok, reason=reason, infra=infra)
+
+        agent.attempt_finished = record
+        crashed.append(grant.nodes[-1])
+        session.faults.inject_node_failure(agent, grant.nodes[-1])
+
+    session.env.schedule_callback(crash_at, crash)
+    session.run(tmgr.wait_tasks())
+    return session, task, crashed[0], attempts
+
+
+class TestNodeFailureHitsGrantMembers:
+    """A failure of *any* node a task holds, not only its first, kills
+    the task and fails its attempt as an infrastructure failure."""
+
+    def test_srun_step_on_last_node_of_25_node_task_is_killed(self):
+        session, task, node, attempts = run_crash_in_grant(
+            "srun", 26, ResourceSpec(cores=25 * 8, exclusive_nodes=True))
+        assert attempts[0] == (False, f"node failure: {node.name}", True)
+        assert session.faults.wasted_core_seconds > 0.0
+        # The retry runs on the 25 nodes that are still up.
+        assert attempts[1:] == [(True, "", False)]
+        assert task.succeeded and task.attempts == 2
+
+    def test_flux_job_on_last_node_of_its_grant_is_killed(self):
+        session, task, node, attempts = run_crash_in_grant(
+            "flux", 4, ResourceSpec(cores=24))
+        assert attempts[0] == (False, f"node failure: {node.name}", True)
+        assert session.faults.wasted_core_seconds > 0.0
+        assert attempts[1:] == [(True, "", False)]
+        assert task.succeeded and task.attempts == 2

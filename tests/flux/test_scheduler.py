@@ -58,7 +58,7 @@ class TestEasyBackfill:
         policy = EasyBackfillPolicy()
         running = [_job("r", 8, duration=100.0)]
         running[0].start_time = 0.0
-        running[0].placements = alloc.try_place(running[0].spec.resources)
+        running[0].grant = alloc.try_place(running[0].spec.resources)
         # Head needs 16 cores: blocked until t=100.  A 50 s filler fits
         # in the window; a 200 s one does not.
         queue = [_job("head", 16, duration=100.0),
@@ -77,7 +77,7 @@ class TestEasyBackfill:
         running = [_job("r1", 8, duration=30.0), _job("r2", 8, duration=60.0)]
         for r in running:
             r.start_time = 0.0
-            r.placements = alloc.try_place(r.spec.resources)
+            r.grant = alloc.try_place(r.spec.resources)
         head = _job("head", 12, duration=10.0)
         shadow = EasyBackfillPolicy._shadow_time(head, alloc, running, now=0.0)
         # Needs 12 cores: r1's 8 at t=30 are not enough, r2 at t=60 is.
@@ -91,14 +91,14 @@ class TestEasyBackfill:
     def test_backfill_beats_fcfs_on_heterogeneous_mix(self, alloc):
         running = [_job("r", 12, duration=100.0)]
         running[0].start_time = 0.0
-        running[0].placements = alloc.try_place(running[0].spec.resources)
+        running[0].grant = alloc.try_place(running[0].spec.resources)
         queue = [_job("head", 16, duration=100.0),
                  _job("f1", 2, duration=10.0),
                  _job("f2", 2, duration=10.0)]
         fcfs = FcfsPolicy().match(list(queue), alloc, running, now=0.0)
         easy = EasyBackfillPolicy().match(list(queue), alloc, running, now=0.0)
-        for _, placements in easy:
-            alloc.release(placements)
+        for _, grant in easy:
+            alloc.release(grant)
         assert len(fcfs) == 0
         assert len(easy) == 2
 

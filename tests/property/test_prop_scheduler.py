@@ -24,7 +24,7 @@ class TestPolicyInvariants:
         alloc = generic(n_nodes, cores_per_node=cpn).allocate_nodes(n_nodes)
         jobs = make_jobs(rows)
         matches = FcfsPolicy().match(jobs, alloc, [], now=0.0)
-        placed_cores = sum(p.cores for _, pls in matches for p in pls)
+        placed_cores = sum(grant.cores for _, grant in matches)
         assert placed_cores <= alloc.total_cores
         assert placed_cores + alloc.free_cores == alloc.total_cores
 
@@ -34,7 +34,7 @@ class TestPolicyInvariants:
         alloc = generic(n_nodes, cores_per_node=cpn).allocate_nodes(n_nodes)
         jobs = make_jobs(rows)
         matches = EasyBackfillPolicy().match(jobs, alloc, [], now=0.0)
-        placed_cores = sum(p.cores for _, pls in matches for p in pls)
+        placed_cores = sum(grant.cores for _, grant in matches)
         assert placed_cores + alloc.free_cores == alloc.total_cores
 
     @given(job_lists, st.integers(2, 6))

@@ -37,7 +37,6 @@ class TestPublicApi:
         import repro.dragon
         import repro.experiments
         import repro.flux
-        import repro.mpi
         import repro.platform
         import repro.rjms
         import repro.sim
@@ -49,7 +48,7 @@ class TestPublicApi:
 
         for module_name in ("repro", "repro.sim", "repro.platform",
                             "repro.rjms", "repro.flux", "repro.dragon",
-                            "repro.mpi", "repro.core", "repro.workloads",
+                            "repro.core", "repro.workloads",
                             "repro.analytics", "repro.experiments"):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", ()):
